@@ -22,6 +22,7 @@
 
 #include "bench_common.h"
 
+#include <string>
 #include <vector>
 
 #include "attacks/attack.h"
@@ -95,28 +96,35 @@ void BM_DeepFoolBatched(benchmark::State& state, const std::string& net,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_Ifgsm(benchmark::State& state, const std::string& net) {
+void BM_FastGradient(benchmark::State& state, const std::string& net,
+                     attacks::AttackKind kind) {
   AttackBench b = make_bench(net, state.range(0));
   attacks::AttackParams params;
   params.epsilon = 0.01f;
   params.iterations = kFastGradientIters;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        attacks::ifgsm(b.model, b.images, b.labels, params));
+    benchmark::DoNotOptimize(attacks::run_attack_batched(
+        kind, b.model, b.images, b.labels, params));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_Ifgm(benchmark::State& state, const std::string& net) {
-  AttackBench b = make_bench(net, state.range(0));
-  attacks::AttackParams params;
-  params.epsilon = 0.01f;
-  params.iterations = kFastGradientIters;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        attacks::ifgm(b.model, b.images, b.labels, params));
+// One body serves both step rules; the rows keep the names
+// BENCH_attacks.json is keyed on (BM_Ifgsm/<net>/32, BM_Ifgm/<net>/32).
+// 32 rows are one kAttackChunk, so each row times one range loop.
+void register_fast_gradient_benches() {
+  for (attacks::AttackKind kind :
+       {attacks::AttackKind::kIfgsm, attacks::AttackKind::kIfgm}) {
+    for (const std::string net : {"lenet5", "cifarnet"}) {
+      const std::string name =
+          std::string(kind == attacks::AttackKind::kIfgsm ? "BM_Ifgsm/"
+                                                          : "BM_Ifgm/") +
+          net;
+      benchmark::RegisterBenchmark(name.c_str(), BM_FastGradient, net, kind)
+          ->Arg(32)
+          ->Unit(benchmark::kMillisecond);
+    }
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 }  // namespace
@@ -146,24 +154,12 @@ BENCHMARK_CAPTURE(BM_DeepFoolBatched, cifarnet_degraded,
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_CAPTURE(BM_Ifgsm, lenet5, std::string("lenet5"))
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Ifgsm, cifarnet, std::string("cifarnet"))
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Ifgm, lenet5, std::string("lenet5"))
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Ifgm, cifarnet, std::string("cifarnet"))
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
 // --manifest, --no-metrics) must be stripped from argv before
 // benchmark::Initialize rejects them as unknown.
 int main(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::strip_obs_flags(argc, argv);
+  register_fast_gradient_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -170,7 +170,6 @@ inline BenchSetup parse_common(util::CliFlags& flags,
   // --store DIR points the run at a shared artifact store; unset, the
   // study resolves $CON_STORE_DIR or <artifacts>/store.
   cfg.store_dir = flags.get_string("store", "");
-  cfg.use_store = flags.get_bool("use-store", true);
   record_study_config(setup, cfg);
   setup.run.config.emplace_back("paper_scale", obs::Json(setup.paper_scale));
   return setup;
@@ -186,10 +185,8 @@ inline void record_study(BenchSetup& setup, core::Study& study) {
   setup.run.config.emplace_back(
       "baseline_drv." + study.config().network,
       obs::Json(study.baseline_drv_hash().hex()));
-  if (const store::Store* s = study.store()) {
-    setup.run.config.emplace_back("store_root." + study.config().network,
-                                  obs::Json(s->root()));
-  }
+  setup.run.config.emplace_back("store_root." + study.config().network,
+                                obs::Json(study.store().root()));
 }
 
 // End-of-run hook: every bench/example calls this once, after its tables.

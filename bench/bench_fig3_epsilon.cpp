@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   auto adv_acc = [&](attacks::AttackKind kind, float eps, int iters) {
     const attacks::AttackParams p{.epsilon = eps, .iterations = iters};
-    tensor::Tensor adv =
-        attacks::run_attack(kind, model, probes.images, probes.labels, p);
+    tensor::Tensor adv = attacks::run_attack_batched(
+        kind, model, probes.images, probes.labels, p);
     return nn::evaluate_accuracy(model, adv, probes.labels);
   };
 

@@ -41,14 +41,14 @@ void BM_MatmulSquare(benchmark::State& state) {
   Tensor a = random_tensor({n, n}, 1);
   Tensor b = random_tensor({n, n}, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul(a, b));
+    benchmark::DoNotOptimize(tensor::gemm::matmul_nn(a, b));
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatmulSquare)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_MatmulSparseA(benchmark::State& state) {
-  // Pruned weight matrices hit the zero-skip path in matmul.
+  // Pruned weight matrices hit the zero-skip path in matmul_nn.
   const auto n = state.range(0);
   Tensor a = random_tensor({n, n}, 3);
   // zero out 90%
@@ -58,7 +58,7 @@ void BM_MatmulSparseA(benchmark::State& state) {
   }
   Tensor b = random_tensor({n, n}, 5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul(a, b));
+    benchmark::DoNotOptimize(tensor::gemm::matmul_nn(a, b));
   }
 }
 BENCHMARK(BM_MatmulSparseA)->Arg(128)->Arg(256);
@@ -510,7 +510,8 @@ void BM_FgsmBatch(benchmark::State& state) {
   std::vector<int> labels = {0, 1, 2, 3, 4, 5, 6, 7};
   const attacks::AttackParams p{.epsilon = 0.02f, .iterations = 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attacks::fgsm(m, x, labels, p));
+    benchmark::DoNotOptimize(attacks::run_attack_batched(
+        attacks::AttackKind::kIfgsm, m, x, labels, p));
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
@@ -523,7 +524,7 @@ void BM_DeepFoolSingle(benchmark::State& state) {
   std::vector<int> labels = {3};
   const attacks::AttackParams p{.epsilon = 0.02f, .iterations = 3};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attacks::deepfool_images(m, x, labels, p));
+    benchmark::DoNotOptimize(attacks::deepfool(m, x, labels, p));
   }
 }
 BENCHMARK(BM_DeepFoolSingle);

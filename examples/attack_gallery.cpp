@@ -73,13 +73,12 @@ int main(int argc, char** argv) {
                      "mean_linf", "l0_frac"});
   tensor::Tensor showcase_adv;
   for (attacks::AttackKind kind :
-       {attacks::AttackKind::kFgm, attacks::AttackKind::kFgsm,
-        attacks::AttackKind::kIfgm, attacks::AttackKind::kIfgsm,
+       {attacks::AttackKind::kIfgm, attacks::AttackKind::kIfgsm,
         attacks::AttackKind::kDeepFool}) {
     const attacks::AttackParams params =
         attacks::paper_params(kind, cfg.network);
-    tensor::Tensor adv = attacks::run_attack(kind, model, probes.images,
-                                             probes.labels, params);
+    tensor::Tensor adv = attacks::run_attack_batched(
+        kind, model, probes.images, probes.labels, params);
     const double acc = nn::evaluate_accuracy(model, adv, probes.labels);
     const attacks::PerturbationStats stats =
         attacks::perturbation_stats(probes.images, adv);

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   const attacks::AttackKind attack = attacks::AttackKind::kIfgsm;
   const attacks::AttackParams params =
       attacks::paper_params(attack, cfg.network);
-  tensor::Tensor adv = attacks::run_attack(attack, extracted, probes.images,
-                                           probes.labels, params);
+  tensor::Tensor adv = attacks::run_attack_batched(
+      attack, extracted, probes.images, probes.labels, params);
   const attacks::PerturbationStats stats =
       attacks::perturbation_stats(probes.images, adv);
   std::printf("crafted %lld IFGSM samples (mean l2 %.3f, linf %.3f)\n",

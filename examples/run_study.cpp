@@ -17,27 +17,14 @@
 #include "nn/trainer.h"
 #include "bench_common.h"
 #include "util/cli.h"
-#include "util/threadpool.h"
 #include "util/table.h"
 
 using namespace con;
 
 int main(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
-  bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
-  util::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(flags.get_int("threads", 0)));
-  core::StudyConfig cfg;
-  cfg.network = flags.get_string("network", "lenet5-small");
-  cfg.train_size = flags.get_int("train-size", 2000);
-  cfg.test_size = flags.get_int("test-size", 400);
-  cfg.attack_size = flags.get_int("attack-size", 100);
-  cfg.baseline_epochs = static_cast<int>(flags.get_int(
-      "epochs", cfg.network.rfind("cifarnet", 0) == 0 ? 16 : 6));
-  cfg.finetune.epochs = static_cast<int>(flags.get_int("finetune-epochs", 2));
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  cfg.store_dir = flags.get_string("store", "");
-  cfg.use_store = flags.get_bool("use-store", true);
+  bench::BenchSetup obs_run = bench::parse_common(flags);
+  const core::StudyConfig& cfg = obs_run.study;
 
   const std::string compress_kind = flags.get_string("compress", "prune");
   const double level = flags.get_double(
@@ -46,7 +33,6 @@ int main(int argc, char** argv) {
   flags.check_unused();
 
   core::Study study(cfg);
-  bench::record_study_config(obs_run, cfg);
   bench::record_study(obs_run, study);
   std::printf("network   : %s (baseline accuracy %.3f)\n",
               cfg.network.c_str(), study.baseline_accuracy());
@@ -102,7 +88,7 @@ int main(int argc, char** argv) {
   }
 
   // Perturbation statistics, the paper's sanity check on attack strength.
-  tensor::Tensor adv = attacks::run_attack(
+  tensor::Tensor adv = attacks::run_attack_batched(
       attack, compressed.model, study.attack_set().images,
       study.attack_set().labels, params);
   attacks::PerturbationStats stats =

@@ -23,17 +23,6 @@ void run_attack_range(AttackKind kind, const nn::Sequential& model,
                       const AttackParams& params, int num_classes,
                       Tensor& result) {
   switch (kind) {
-    case AttackKind::kFgm:
-    case AttackKind::kFgsm: {
-      AttackParams single = params;
-      single.iterations = 1;
-      fast_gradient_range(model, images, lo, hi, labels, single,
-                          kind == AttackKind::kFgm
-                              ? FastGradientRule::kGradient
-                              : FastGradientRule::kSign,
-                          result);
-      return;
-    }
     case AttackKind::kIfgm:
     case AttackKind::kIfgsm:
       fast_gradient_range(model, images, lo, hi, labels, params,
@@ -52,24 +41,6 @@ void run_attack_range(AttackKind kind, const nn::Sequential& model,
 }
 
 }  // namespace
-
-Tensor run_attack(AttackKind kind, const nn::Sequential& model,
-                  const Tensor& images, const std::vector<int>& labels,
-                  const AttackParams& params, int num_classes) {
-  switch (kind) {
-    case AttackKind::kFgm:
-      return fgm(model, images, labels, params);
-    case AttackKind::kFgsm:
-      return fgsm(model, images, labels, params);
-    case AttackKind::kIfgm:
-      return ifgm(model, images, labels, params);
-    case AttackKind::kIfgsm:
-      return ifgsm(model, images, labels, params);
-    case AttackKind::kDeepFool:
-      return deepfool_images(model, images, labels, params, num_classes);
-  }
-  throw std::logic_error("unreachable attack kind");
-}
 
 Tensor run_attack_batched(AttackKind kind, const nn::Sequential& model,
                           const Tensor& images, const std::vector<int>& labels,

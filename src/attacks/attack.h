@@ -8,26 +8,21 @@
 
 namespace con::attacks {
 
-// Generate adversarial samples for `images` against `model` (white-box:
-// gradients are taken from `model` itself). The whole batch is attacked as
-// one unit; gradients are rescaled so the result matches per-sample attacks.
-Tensor run_attack(AttackKind kind, const nn::Sequential& model,
-                  const Tensor& images, const std::vector<int>& labels,
-                  const AttackParams& params, int num_classes = 10);
-
 // Chunk size used by run_attack_batched. A power of two, so the batch-mean
-// gradient rescale (g / N) * N is float-exact and chunked results are
-// bit-identical to attacking each chunk alone.
+// gradient rescale (g / N) * N is float-exact on every full chunk; only the
+// tail chunk (N mod kAttackChunk rows) carries the rounding of its own size
+// (see fast_gradient_range).
 inline constexpr tensor::Index kAttackChunk = 32;
 
-// Like run_attack, but splits the batch into fixed chunks of kAttackChunk
-// samples and generates them in parallel over the global thread pool.
-// Chunks are dispatched through the attacks' *_range entry points: each
-// chunk reads its rows of `images` and writes its rows of the result
-// directly, with no intermediate chunk tensors or copies. The chunk
-// boundaries depend only on the batch size — never on the thread count —
-// and every chunk writes into its own slice of the result, so the output
-// is identical for any --threads value (including 1).
+// Generate adversarial samples for `images` against `model` (white-box:
+// gradients are taken from `model` itself). Splits the batch into fixed
+// chunks of kAttackChunk samples and generates them in parallel over the
+// global thread pool. Chunks are dispatched through the attacks' *_range
+// entry points: each chunk reads its rows of `images` and writes its rows
+// of the result directly, with no intermediate chunk tensors or copies. The
+// chunk boundaries depend only on the batch size — never on the thread
+// count — and every chunk writes into its own slice of the result, so the
+// output is identical for any --threads value (including 1).
 Tensor run_attack_batched(AttackKind kind, const nn::Sequential& model,
                           const Tensor& images, const std::vector<int>& labels,
                           const AttackParams& params, int num_classes = 10);

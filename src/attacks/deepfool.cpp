@@ -381,10 +381,4 @@ DeepFoolResult deepfool_reference(const nn::Sequential& model,
   return result;
 }
 
-Tensor deepfool_images(const nn::Sequential& model, const Tensor& images,
-                       const std::vector<int>& labels,
-                       const AttackParams& params, int num_classes) {
-  return deepfool(model, images, labels, params, num_classes).adversarial;
-}
-
 }  // namespace con::attacks

@@ -64,9 +64,4 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
                     int num_classes, Tensor& out_adversarial,
                     int* iterations_used, float* perturbation_l2);
 
-// Convenience wrapper returning only the adversarial batch.
-Tensor deepfool_images(const nn::Sequential& model, const Tensor& images,
-                       const std::vector<int>& labels,
-                       const AttackParams& params, int num_classes = 10);
-
 }  // namespace con::attacks

@@ -26,16 +26,6 @@ void check_inputs(const Tensor& images, const std::vector<int>& labels,
   }
 }
 
-Tensor run_full_batch(const nn::Sequential& model, const Tensor& images,
-                      const std::vector<int>& labels,
-                      const AttackParams& params, FastGradientRule rule) {
-  check_inputs(images, labels, params);
-  Tensor adv(images.shape());
-  fast_gradient_range(model, images, 0, images.dim(0), labels, params, rule,
-                      adv);
-  return adv;
-}
-
 }  // namespace
 
 void fast_gradient_range(const nn::Sequential& model, const Tensor& images,
@@ -59,9 +49,9 @@ void fast_gradient_range(const nn::Sequential& model, const Tensor& images,
       labels.begin() + static_cast<std::ptrdiff_t>(lo),
       labels.begin() + static_cast<std::ptrdiff_t>(hi));
 
-  // The batch loss is a mean; rescale by the chunk size so each sample sees
-  // the gradient of its own (un-averaged) loss, making batched attacks
-  // identical to per-sample attacks.
+  // The batch loss is a mean; rescale by the range's row count so each
+  // sample sees the gradient of its own (un-averaged) loss. Exact only for
+  // a power-of-two count (see fast_gradient.h).
   const float batch_scale = static_cast<float>(adv.dim(0));
   nn::ForwardTape tape(/*accumulate_param_grads=*/false);
   Tensor grad;
@@ -99,32 +89,6 @@ void fast_gradient_range(const nn::Sequential& model, const Tensor& images,
     }
   }
   // conlint:hotpath end
-}
-
-Tensor fgm(const nn::Sequential& model, const Tensor& images,
-           const std::vector<int>& labels, const AttackParams& params) {
-  AttackParams single = params;
-  single.iterations = 1;
-  return run_full_batch(model, images, labels, single,
-                        FastGradientRule::kGradient);
-}
-
-Tensor fgsm(const nn::Sequential& model, const Tensor& images,
-            const std::vector<int>& labels, const AttackParams& params) {
-  AttackParams single = params;
-  single.iterations = 1;
-  return run_full_batch(model, images, labels, single, FastGradientRule::kSign);
-}
-
-Tensor ifgsm(const nn::Sequential& model, const Tensor& images,
-             const std::vector<int>& labels, const AttackParams& params) {
-  return run_full_batch(model, images, labels, params, FastGradientRule::kSign);
-}
-
-Tensor ifgm(const nn::Sequential& model, const Tensor& images,
-            const std::vector<int>& labels, const AttackParams& params) {
-  return run_full_batch(model, images, labels, params,
-                        FastGradientRule::kGradient);
 }
 
 }  // namespace con::attacks

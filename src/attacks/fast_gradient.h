@@ -27,29 +27,22 @@ using tensor::Tensor;
 // N in Algorithm 1: step along sign(∇ₓJ) (FGSM) or ∇ₓJ itself (FGM).
 enum class FastGradientRule { kGradient, kSign };
 
-// Single-step FGM: X + ε·∇ₓJ.
-Tensor fgm(const nn::Sequential& model, const Tensor& images,
-           const std::vector<int>& labels, const AttackParams& params);
-
-// Single-step FGSM: X + ε·sign(∇ₓJ).
-Tensor fgsm(const nn::Sequential& model, const Tensor& images,
-            const std::vector<int>& labels, const AttackParams& params);
-
-// Iterative FGSM (Algorithm 1): per-iteration sign step of ε, clipped.
-Tensor ifgsm(const nn::Sequential& model, const Tensor& images,
-             const std::vector<int>& labels, const AttackParams& params);
-
-// Iterative FGM: identical except N = ∇ₓJ (gradient amplitudes, not sign).
-Tensor ifgm(const nn::Sequential& model, const Tensor& images,
-            const std::vector<int>& labels, const AttackParams& params);
-
 // Attack rows [lo, hi) of `images`, writing adversarial rows straight into
 // the same rows of `out_adversarial` (same shape as `images`). This is the
 // non-copying entry the chunked attack driver uses: chunks read and write
 // through row views of the shared batch, never through intermediate chunk
-// tensors. Labels are indexed absolutely. The batch-mean loss gradient is
-// rescaled by the chunk size, so per-row results do not depend on the
-// chunking.
+// tensors. Labels are indexed absolutely. iterations = 1 is single-step
+// FGM/FGSM.
+//
+// The loss gradient arrives scaled by 1/n (the batch mean over the range's
+// n = hi - lo rows) and is rescaled by n, so each row steps along its own
+// un-averaged loss gradient. (g / n) * n is float-exact only when n is a
+// power of two: rows of a full kAttackChunk range match a per-sample
+// attack bit for bit, but a range of any other size (the chunked driver's
+// tail chunk) carries the rounding of its n. The sign step of IFGSM hides
+// that rounding; IFGM's gradient step does not. A row's result therefore
+// depends on the size of the range it was attacked in, which is why
+// run_attack_batched fixes the ranges from the batch size alone.
 void fast_gradient_range(const nn::Sequential& model, const Tensor& images,
                          tensor::Index lo, tensor::Index hi,
                          const std::vector<int>& labels,

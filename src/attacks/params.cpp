@@ -6,8 +6,6 @@ namespace con::attacks {
 
 std::string attack_name(AttackKind kind) {
   switch (kind) {
-    case AttackKind::kFgm: return "fgm";
-    case AttackKind::kFgsm: return "fgsm";
     case AttackKind::kIfgm: return "ifgm";
     case AttackKind::kIfgsm: return "ifgsm";
     case AttackKind::kDeepFool: return "deepfool";
@@ -16,8 +14,6 @@ std::string attack_name(AttackKind kind) {
 }
 
 AttackKind attack_from_name(const std::string& name) {
-  if (name == "fgm") return AttackKind::kFgm;
-  if (name == "fgsm") return AttackKind::kFgsm;
   if (name == "ifgm") return AttackKind::kIfgm;
   if (name == "ifgsm") return AttackKind::kIfgsm;
   if (name == "deepfool") return AttackKind::kDeepFool;
@@ -39,11 +35,6 @@ AttackParams paper_params(AttackKind kind, const std::string& network) {
     case AttackKind::kDeepFool:
       return lenet ? AttackParams{.epsilon = 0.01f, .iterations = 5}
                    : AttackParams{.epsilon = 0.01f, .iterations = 3};
-    case AttackKind::kFgsm:
-      return AttackParams{.epsilon = 0.02f, .iterations = 1};
-    case AttackKind::kFgm:
-      return lenet ? AttackParams{.epsilon = 10.0f, .iterations = 1}
-                   : AttackParams{.epsilon = 0.02f, .iterations = 1};
   }
   throw std::logic_error("unreachable attack kind");
 }

@@ -5,14 +5,15 @@
 
 namespace con::attacks {
 
-enum class AttackKind { kFgm, kFgsm, kIfgm, kIfgsm, kDeepFool };
+enum class AttackKind { kIfgm, kIfgsm, kDeepFool };
 
 std::string attack_name(AttackKind kind);
 AttackKind attack_from_name(const std::string& name);
 
 struct AttackParams {
-  // FGM/FGSM/IFGM/IFGSM: per-iteration step size and L∞ clip radius around
-  // the previous iterate (Algorithm 1). DeepFool: overshoot factor.
+  // IFGM/IFGSM: per-iteration step size and L∞ clip radius around the
+  // previous iterate (Algorithm 1); iterations = 1 is single-step FGM/FGSM.
+  // DeepFool: overshoot factor.
   float epsilon = 0.02f;
   int iterations = 1;
 };
@@ -22,7 +23,6 @@ struct AttackParams {
 //                     ε     i       ε     i      ε     i
 //   LeNet5           0.02   12     10.0   5     0.01   5
 //   CifarNet         0.02   12     0.02   12    0.01   3
-// Single-step FGM/FGSM reuse the iterative ε with iterations = 1.
 AttackParams paper_params(AttackKind kind, const std::string& network);
 
 }  // namespace con::attacks

@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace con::core {
@@ -51,8 +52,8 @@ double linear_cka(const Tensor& x, const Tensor& y) {
   center_columns(xc);
   center_columns(yc);
   // Gram matrices K = Xc Xc^T, L = Yc Yc^T.
-  Tensor k = tensor::matmul_nt(xc, xc);
-  Tensor l = tensor::matmul_nt(yc, yc);
+  Tensor k = tensor::gemm::matmul_nt(xc, xc);
+  Tensor l = tensor::gemm::matmul_nt(yc, yc);
   const double cross = hsic_linear(k, l);
   const double kk = hsic_linear(k, k);
   const double ll = hsic_linear(l, l);

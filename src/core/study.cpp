@@ -18,6 +18,10 @@ namespace con::core {
 namespace {
 
 data::TrainTestSplit make_split(const StudyConfig& c) {
+  // Checked here, before the store directory is created.
+  if (c.attack_size > c.test_size) {
+    throw std::invalid_argument("Study: attack_size exceeds test_size");
+  }
   if (c.network.rfind("lenet5", 0) == 0) {
     data::SynthDigitsConfig dc;
     dc.train_size = c.train_size;
@@ -38,20 +42,13 @@ data::TrainTestSplit make_split(const StudyConfig& c) {
 }  // namespace
 
 Study::Study(StudyConfig config)
-    : config_(std::move(config)), split_(make_split(config_)) {
-  if (config_.attack_size > config_.test_size) {
-    throw std::invalid_argument("Study: attack_size exceeds test_size");
-  }
+    : config_(std::move(config)),
+      split_(make_split(config_)),
+      store_(config_.store_dir.empty()
+                 ? store::default_store_dir(io::artifacts_dir())
+                 : config_.store_dir) {
   attack_set_ = split_.test.take(config_.attack_size);
-  if (config_.use_store) {
-    const std::string dir = config_.store_dir.empty()
-                                ? store::default_store_dir(io::artifacts_dir())
-                                : config_.store_dir;
-    store_.emplace(dir);
-  }
 }
-
-store::Store* Study::store() { return store_ ? &*store_ : nullptr; }
 
 const store::Hash& Study::dataset_hash() {
   if (!dataset_hash_) dataset_hash_ = dataset_content_hash(split_);
@@ -74,17 +71,12 @@ void Study::train_model(nn::Sequential& model, std::uint64_t shuffle_seed) {
 nn::Sequential& Study::baseline() {
   if (baseline_.has_value()) return *baseline_;
   nn::Sequential model = models::make_model(config_.network, config_.seed);
-  if (!store_) {
-    train_model(model, config_.seed ^ 0x5f5fULL);
-    baseline_ = std::move(model);
-    return *baseline_;
-  }
   // The init-state hash is taken before training: it captures topology,
   // init scheme and seed, closing the derivation over models::make_model.
   const store::Derivation drv = baseline_derivation(
       config_, io::model_state_hash(model), dataset_hash());
   bool built = false;
-  const std::string path = store_->realise(drv, [&](const std::string& tmp) {
+  const std::string path = store_.realise(drv, [&](const std::string& tmp) {
     train_model(model, config_.seed ^ 0x5f5fULL);
     io::save_model(model, tmp);
     built = true;
@@ -95,7 +87,7 @@ nn::Sequential& Study::baseline() {
   }
   // Keep the current baseline's closure alive across GC; re-running with a
   // changed config re-points the root and strands the old closure.
-  store_->add_root("baseline-" + config_.network, path);
+  store_.add_root("baseline-" + config_.network, path);
   baseline_drv_ = drv.hash();
   baseline_ = std::move(model);
   return *baseline_;
@@ -103,11 +95,6 @@ nn::Sequential& Study::baseline() {
 
 const store::Hash& Study::baseline_drv_hash() {
   baseline();
-  if (!baseline_drv_) {
-    // Storeless studies have no derivation; the zero hash marks "unstored"
-    // and keeps downstream ModelArtifact plumbing total.
-    baseline_drv_ = store::Hash{};
-  }
   return *baseline_drv_;
 }
 
@@ -129,16 +116,10 @@ nn::Sequential Study::train_fresh_baseline(std::uint64_t init_seed) {
 
 ModelArtifact Study::pruned_variant(double density, bool one_shot) {
   nn::Sequential& base = baseline();
-  if (!store_) {
-    return ModelArtifact{compress::make_pruned_model(base, split_.train,
-                                                     density, config_.finetune,
-                                                     one_shot),
-                         store::Hash{}};
-  }
   const store::Derivation drv = pruned_derivation(
       config_, *baseline_drv_, dataset_hash(), density, one_shot);
   std::optional<nn::Sequential> model;
-  const std::string path = store_->realise(drv, [&](const std::string& tmp) {
+  const std::string path = store_.realise(drv, [&](const std::string& tmp) {
     util::log_info("pruning %s to density %.3f", base.name().c_str(), density);
     model = compress::make_pruned_model(base, split_.train, density,
                                         config_.finetune, one_shot);
@@ -155,16 +136,10 @@ ModelArtifact Study::pruned_variant(double density, bool one_shot) {
 
 ModelArtifact Study::quantized_variant(int bits, bool quantize_activations) {
   nn::Sequential& base = baseline();
-  if (!store_) {
-    return ModelArtifact{
-        compress::make_quantized_model(base, split_.train, bits,
-                                       config_.finetune, quantize_activations),
-        store::Hash{}};
-  }
   const store::Derivation drv = quantized_derivation(
       config_, *baseline_drv_, dataset_hash(), bits, quantize_activations);
   std::optional<nn::Sequential> model;
-  const std::string path = store_->realise(drv, [&](const std::string& tmp) {
+  const std::string path = store_.realise(drv, [&](const std::string& tmp) {
     util::log_info("quantising %s to %d bits", base.name().c_str(), bits);
     model = compress::make_quantized_model(base, split_.train, bits,
                                            config_.finetune,
@@ -191,17 +166,12 @@ tensor::Tensor Study::baseline_adversarial(attacks::AttackKind attack,
                                            const attacks::AttackParams& params) {
   nn::Sequential& base = baseline();
   obs::ScopedPhase phase("baseline-adversarial");
-  if (!store_) {
-    return attacks::run_attack_batched(attack, base, attack_set_.images,
-                                       attack_set_.labels, params,
-                                       attack_set_.num_classes());
-  }
   const store::Derivation drv =
       adversarial_derivation(*baseline_drv_, dataset_hash(),
                              config_.attack_size, attack, params,
                              config_.network);
   std::optional<tensor::Tensor> adv;
-  const std::string path = store_->realise(drv, [&](const std::string& tmp) {
+  const std::string path = store_.realise(drv, [&](const std::string& tmp) {
     obs::Span span(base.name(), "baseline_adversarial");
     adv = attacks::run_attack_batched(attack, base, attack_set_.images,
                                       attack_set_.labels, params,

@@ -35,14 +35,11 @@ struct StudyConfig {
   // Artifact store root (--store DIR on every bench/example). Empty
   // resolves to $CON_STORE_DIR, else <artifacts>/store.
   std::string store_dir;
-  // When false the study runs storeless: everything recomputes, nothing
-  // persists (property tests that must observe fresh training set this).
-  bool use_store = true;
 };
 
 // A model together with the hash of the derivation that produced it — the
 // handle downstream derivations (transfer cells) use as their input edge.
-// `drv` is the zero hash when the model was built storeless.
+// The store-backed cells reject a zero `drv` (a model the store never saw).
 struct ModelArtifact {
   nn::Sequential model;
   store::Hash drv;
@@ -68,8 +65,8 @@ class Study {
   // stored) — used by the §3.3 cross-initialisation experiment.
   nn::Sequential train_fresh_baseline(std::uint64_t init_seed);
 
-  // The artifact store backing this study; nullptr when use_store=false.
-  store::Store* store();
+  // The artifact store backing this study.
+  store::Store& store() { return store_; }
 
   // Content hash of the train/test splits (computed once, lazily). Part of
   // every derivation closure: regenerating the data regenerates the grid.
@@ -82,7 +79,7 @@ class Study {
   // Store-backed compressed variants. On a hit the checkpoint is loaded
   // (bit-identical to a recompute — tests/test_packed_cache_invalidation
   // pins the round-trip); on a miss the variant is built, fine-tuned and
-  // inserted. Storeless studies always build.
+  // inserted.
   ModelArtifact pruned_variant(double density, bool one_shot = false);
   ModelArtifact quantized_variant(int bits, bool quantize_activations = true);
 
@@ -98,7 +95,7 @@ class Study {
   StudyConfig config_;
   data::TrainTestSplit split_;
   data::Dataset attack_set_;
-  std::optional<store::Store> store_;
+  store::Store store_;
   std::optional<nn::Sequential> baseline_;
   std::optional<store::Hash> dataset_hash_;
   std::optional<store::Hash> baseline_drv_;

@@ -3,68 +3,15 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "compress/integer_model.h"
 #include "core/artifacts.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "util/logging.h"
 #include "util/threadpool.h"
 
 namespace con::core {
-
-std::vector<nn::Sequential> build_pruned_family(
-    const nn::Sequential& baseline, const data::Dataset& train,
-    const std::vector<double>& densities,
-    const compress::FineTuneConfig& finetune, bool one_shot) {
-  std::vector<nn::Sequential> family;
-  family.reserve(densities.size());
-  for (double d : densities) {
-    util::log_info("pruning %s to density %.3f", baseline.name().c_str(), d);
-    family.push_back(
-        compress::make_pruned_model(baseline, train, d, finetune, one_shot));
-  }
-  return family;
-}
-
-std::vector<nn::Sequential> build_quantized_family(
-    const nn::Sequential& baseline, const data::Dataset& train,
-    const std::vector<int>& bitwidths,
-    const compress::FineTuneConfig& finetune, bool quantize_activations) {
-  std::vector<nn::Sequential> family;
-  family.reserve(bitwidths.size());
-  for (int bits : bitwidths) {
-    util::log_info("quantising %s to %d bits", baseline.name().c_str(), bits);
-    family.push_back(compress::make_quantized_model(
-        baseline, train, bits, finetune, quantize_activations));
-  }
-  return family;
-}
-
-std::vector<ScenarioPoint> sweep_scenarios(
-    const nn::Sequential& baseline, const std::vector<nn::Sequential>& family,
-    attacks::AttackKind attack, const attacks::AttackParams& params,
-    const data::Dataset& eval_set) {
-  std::vector<ScenarioPoint> points(family.size());
-  if (family.empty()) return points;
-  obs::ScopedPhase phase("sweep");
-  // The scenario-2 batch (attack on the baseline) is identical for every
-  // family member: generate it once up front and share it, instead of
-  // paying one full attack generation per member.
-  const tensor::Tensor baseline_adv = attacks::run_attack_batched(
-      attack, baseline, eval_set.images, eval_set.labels, params,
-      eval_set.num_classes());
-  // One matrix cell per family member; each cell only reads the (shared,
-  // immutable during execution) models and writes its own slot.
-  static obs::Counter& cells = obs::counter("sweep.cells");
-  util::parallel_for(0, family.size(), [&](std::size_t i) {
-    obs::Span span(family[i].name(), "sweep_cell");
-    points[i] = evaluate_scenarios(baseline, family[i], attack, params,
-                                   eval_set, baseline_adv);
-    cells.add(1);
-  });
-  return points;
-}
 
 std::vector<ModelArtifact> build_pruned_family(
     Study& study, const std::vector<double>& densities, bool one_shot) {
@@ -89,6 +36,16 @@ std::vector<ModelArtifact> build_quantized_family(
 
 namespace {
 
+// A store cell's derivation hangs off the variant's; a zero hash names no
+// derivation the store has seen. Checked before any attack is crafted.
+void require_stored(const ModelArtifact& variant, const char* where) {
+  if (variant.drv.is_zero()) {
+    throw std::invalid_argument(std::string(where) + ": " +
+                                variant.model.name() +
+                                " has no store derivation");
+  }
+}
+
 // One cell through the store. Callers must have warmed the study's lazy
 // state (baseline, hashes, adversarial batch) before invoking this from
 // worker threads: the getters below then only read memoized values.
@@ -97,16 +54,12 @@ ScenarioPoint stored_cell(Study& study, const ModelArtifact& variant,
                           const attacks::AttackParams& params,
                           const tensor::Tensor& baseline_adv,
                           store::Hash* cell_hash) {
-  store::Store* s = study.store();
-  if (s == nullptr || variant.drv.is_zero()) {
-    return evaluate_scenarios(study.baseline(), variant.model, attack, params,
-                              study.attack_set(), baseline_adv);
-  }
+  store::Store& s = study.store();
   const store::Derivation drv = transfer_cell_derivation(
       study.baseline_drv_hash(), variant.drv, study.dataset_hash(),
       study.config().attack_size, attack, params, variant.model.name());
   std::optional<ScenarioPoint> point;
-  const std::string path = s->realise(drv, [&](const std::string& tmp) {
+  const std::string path = s.realise(drv, [&](const std::string& tmp) {
     point = evaluate_scenarios(study.baseline(), variant.model, attack, params,
                                study.attack_set(), baseline_adv);
     save_scenario_point(*point, tmp);
@@ -125,18 +78,14 @@ ScenarioPoint stored_integer_cell(Study& study, ModelArtifact& variant,
                                   const attacks::AttackParams& params,
                                   const tensor::Tensor& baseline_adv,
                                   store::Hash* cell_hash) {
-  store::Store* s = study.store();
-  if (s == nullptr || variant.drv.is_zero()) {
-    return evaluate_scenarios_integer(study.baseline(), variant.model, attack,
-                                      params, study.attack_set(), baseline_adv);
-  }
+  store::Store& s = study.store();
   const auto formats = compress::integer_formats(variant.model);
   const store::Derivation drv = integer_cell_derivation(
       study.baseline_drv_hash(), variant.drv, study.dataset_hash(),
       study.config().attack_size, attack, params, variant.model.name(),
       formats.first, formats.second);
   std::optional<ScenarioPoint> point;
-  const std::string path = s->realise(drv, [&](const std::string& tmp) {
+  const std::string path = s.realise(drv, [&](const std::string& tmp) {
     point = evaluate_scenarios_integer(study.baseline(), variant.model, attack,
                                        params, study.attack_set(),
                                        baseline_adv);
@@ -148,18 +97,12 @@ ScenarioPoint stored_integer_cell(Study& study, ModelArtifact& variant,
 }
 
 // Realise the sweep-index artifact over `cell_hashes` and point the
-// `root_name` GC root at it, keeping the sweep's closure alive. No-op
-// unless every cell went through the store.
+// `root_name` GC root at it, keeping the sweep's closure alive.
 void root_sweep_index(Study& study, attacks::AttackKind attack,
                       const attacks::AttackParams& params,
                       const std::vector<store::Hash>& cell_hashes,
                       const std::string& root_name) {
-  store::Store* s = study.store();
-  bool all_stored = s != nullptr;
-  for (const store::Hash& h : cell_hashes) {
-    all_stored = all_stored && !h.is_zero();
-  }
-  if (!all_stored) return;
+  store::Store& s = study.store();
   store::Derivation index("sweep-index", root_name);
   index.set("cells", static_cast<std::int64_t>(cell_hashes.size()));
   for (const store::Hash& h : cell_hashes) index.add_input(h);
@@ -172,12 +115,12 @@ void root_sweep_index(Study& study, attacks::AttackKind attack,
   lines.reserve(cell_hashes.size());
   for (const store::Hash& h : cell_hashes) lines.push_back(h.short_hex());
   std::sort(lines.begin(), lines.end());
-  const std::string path = s->realise(index, [&](const std::string& tmp) {
+  const std::string path = s.realise(index, [&](const std::string& tmp) {
     std::ofstream f(tmp, std::ios::trunc);
     for (const std::string& line : lines) f << line << "\n";
     if (!f) throw std::runtime_error("sweep index write failed");
   });
-  s->add_root("sweep-" + root_name, path);
+  s.add_root("sweep-" + root_name, path);
 }
 
 }  // namespace
@@ -186,6 +129,7 @@ ScenarioPoint evaluate_scenarios_stored(Study& study,
                                         const ModelArtifact& variant,
                                         attacks::AttackKind attack,
                                         const attacks::AttackParams& params) {
+  require_stored(variant, "evaluate_scenarios_stored");
   const tensor::Tensor baseline_adv = study.baseline_adversarial(attack, params);
   return stored_cell(study, variant, attack, params, baseline_adv, nullptr);
 }
@@ -196,6 +140,7 @@ std::vector<ScenarioPoint> sweep_scenarios(
   std::vector<ScenarioPoint> points(family.size());
   if (family.empty()) return points;
   obs::ScopedPhase phase("sweep");
+  for (const ModelArtifact& m : family) require_stored(m, "sweep_scenarios");
   // Warm all lazily-memoized study state on this thread; worker threads
   // below only read it.
   const tensor::Tensor baseline_adv =
@@ -225,6 +170,7 @@ std::vector<ScenarioPoint> sweep_scenarios(
 ScenarioPoint evaluate_scenarios_integer_stored(
     Study& study, ModelArtifact& variant, attacks::AttackKind attack,
     const attacks::AttackParams& params) {
+  require_stored(variant, "evaluate_scenarios_integer_stored");
   const tensor::Tensor baseline_adv = study.baseline_adversarial(attack, params);
   return stored_integer_cell(study, variant, attack, params, baseline_adv,
                              nullptr);
@@ -239,6 +185,7 @@ std::vector<ScenarioPoint> sweep_scenarios_integer(
   // Reject non-executable members up front, before spending any attack
   // generation: a throw from a worker thread would lose the blocker text.
   for (ModelArtifact& m : family) {
+    require_stored(m, "sweep_scenarios_integer");
     std::string why = compress::integer_blocker(m.model);
     if (!why.empty()) {
       throw std::invalid_argument("sweep_scenarios_integer: " +

@@ -5,42 +5,20 @@
 
 #include <vector>
 
-#include "compress/finetune.h"
 #include "core/study.h"
 #include "core/transfer.h"
 
 namespace con::core {
 
 // One pruned model per density in `densities` (Fig. 2 x-axis), each
-// fine-tuned with dynamic network surgery. `one_shot` switches to the
-// Han-style ablation.
-std::vector<nn::Sequential> build_pruned_family(
-    const nn::Sequential& baseline, const data::Dataset& train,
-    const std::vector<double>& densities,
-    const compress::FineTuneConfig& finetune, bool one_shot = false);
-
-// One quantised model per bitwidth in `bitwidths` (Fig. 5 x-axis), each
-// fine-tuned quantisation-aware. `quantize_activations=false` is the
-// weight-only ablation for the §4.2 activation-clipping claim.
-std::vector<nn::Sequential> build_quantized_family(
-    const nn::Sequential& baseline, const data::Dataset& train,
-    const std::vector<int>& bitwidths,
-    const compress::FineTuneConfig& finetune,
-    bool quantize_activations = true);
-
-// Scenario accuracies for every member of a compressed family under one
-// attack. Cells are evaluated in parallel over the global thread pool, but
-// each cell writes into its preallocated slot, so the output order matches
-// the family order and the values are thread-count invariant.
-std::vector<ScenarioPoint> sweep_scenarios(
-    const nn::Sequential& baseline, const std::vector<nn::Sequential>& family,
-    attacks::AttackKind attack, const attacks::AttackParams& params,
-    const data::Dataset& eval_set);
-
-// Store-backed family builders: each member is realised through the
-// study's artifact store, so a family whose baseline and parameters are
-// unchanged loads instead of fine-tuning, and changing one grid value
-// rebuilds exactly that member.
+// fine-tuned with dynamic network surgery (`one_shot` switches to the
+// Han-style ablation), or one quantised model per bitwidth in `bitwidths`
+// (Fig. 5 x-axis), each fine-tuned quantisation-aware
+// (`quantize_activations=false` is the weight-only ablation for the §4.2
+// activation-clipping claim). Each member is realised through the study's
+// artifact store, so a family whose baseline and parameters are unchanged
+// loads instead of fine-tuning, and changing one grid value rebuilds
+// exactly that member.
 std::vector<ModelArtifact> build_pruned_family(
     Study& study, const std::vector<double>& densities, bool one_shot = false);
 std::vector<ModelArtifact> build_quantized_family(
@@ -49,18 +27,20 @@ std::vector<ModelArtifact> build_quantized_family(
 
 // One transfer-matrix cell, realised through the study's store: the four
 // scenario accuracies are computed once per (baseline, variant, attack)
-// closure and then served from the store. Storeless studies (or variants
-// built without a store) always compute.
+// closure and then served from the store. Throws std::invalid_argument
+// for a variant with a zero `drv`.
 ScenarioPoint evaluate_scenarios_stored(Study& study,
                                         const ModelArtifact& variant,
                                         attacks::AttackKind attack,
                                         const attacks::AttackParams& params);
 
-// Store-backed sweep over a family built by the builders above. The
+// Scenario accuracies for every member of a family built by the builders
+// above, under one attack. The output order matches the family order. The
 // scenario-2 batch comes from Study::baseline_adversarial (itself a store
 // artifact shared across attacks of the same closure); each cell is a
 // transfer-cell derivation, evaluated in parallel on misses and loaded on
-// hits. A "sweep index" artifact listing every cell is registered as the
+// hits; each cell writes its own slot, so the values are thread-count
+// invariant. A "sweep index" artifact listing every cell is registered as the
 // GC root sweep-<network>-<attack>, keeping the whole closure (cells,
 // variants, adversarial batch, baseline) alive until the next sweep with a
 // different configuration re-points it.

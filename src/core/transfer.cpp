@@ -7,31 +7,6 @@
 
 namespace con::core {
 
-double adversarial_accuracy(const nn::Sequential& source, const nn::Sequential& target,
-                            attacks::AttackKind attack,
-                            const attacks::AttackParams& params,
-                            const data::Dataset& eval_set) {
-  if (eval_set.size() == 0) {
-    throw std::invalid_argument("adversarial_accuracy: empty eval set");
-  }
-  tensor::Tensor adv = attacks::run_attack_batched(attack, source, eval_set.images,
-                                           eval_set.labels, params,
-                                           eval_set.num_classes());
-  return nn::evaluate_accuracy(target, adv, eval_set.labels);
-}
-
-ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
-                                 const nn::Sequential& compressed,
-                                 attacks::AttackKind attack,
-                                 const attacks::AttackParams& params,
-                                 const data::Dataset& eval_set) {
-  tensor::Tensor adv_full = attacks::run_attack_batched(
-      attack, baseline, eval_set.images, eval_set.labels, params,
-      eval_set.num_classes());
-  return evaluate_scenarios(baseline, compressed, attack, params, eval_set,
-                            adv_full);
-}
-
 ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
                                  const nn::Sequential& compressed,
                                  attacks::AttackKind attack,
@@ -56,18 +31,6 @@ ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
   p.full_to_comp =
       nn::evaluate_accuracy(compressed, baseline_adv, eval_set.labels);
   return p;
-}
-
-ScenarioPoint evaluate_scenarios_integer(const nn::Sequential& baseline,
-                                         nn::Sequential& compressed,
-                                         attacks::AttackKind attack,
-                                         const attacks::AttackParams& params,
-                                         const data::Dataset& eval_set) {
-  tensor::Tensor adv_full = attacks::run_attack_batched(
-      attack, baseline, eval_set.images, eval_set.labels, params,
-      eval_set.num_classes());
-  return evaluate_scenarios_integer(baseline, compressed, attack, params,
-                                    eval_set, adv_full);
 }
 
 ScenarioPoint evaluate_scenarios_integer(const nn::Sequential& baseline,

@@ -10,14 +10,6 @@
 
 namespace con::core {
 
-// Accuracy of `target` on adversarial samples crafted against `source` from
-// `eval_set` (white-box on source). source == target gives the self-attack
-// (Scenario 1) number.
-double adversarial_accuracy(const nn::Sequential& source, const nn::Sequential& target,
-                            attacks::AttackKind attack,
-                            const attacks::AttackParams& params,
-                            const data::Dataset& eval_set);
-
 // All three scenario accuracies for one (baseline, compressed) pair plus
 // the compressed model's clean accuracy — one point of a Figure 2/5 panel.
 struct ScenarioPoint {
@@ -27,17 +19,10 @@ struct ScenarioPoint {
   double comp_to_full = 0.0;    // scenario 3 (red line)
 };
 
-ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
-                                 const nn::Sequential& compressed,
-                                 attacks::AttackKind attack,
-                                 const attacks::AttackParams& params,
-                                 const data::Dataset& eval_set);
-
-// Variant taking the scenario-2 adversarial batch (crafted against the
-// baseline) precomputed. The baseline attack does not depend on the
-// compressed model, so sweeps over a whole compression family generate it
-// once and share it across every member instead of regenerating identical
-// samples per member.
+// `baseline_adv` is the scenario-2 adversarial batch, crafted against the
+// baseline over `eval_set`. It does not depend on the compressed model, so
+// sweeps over a whole compression family generate it once
+// (Study::baseline_adversarial) and share it across every member.
 ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
                                  const nn::Sequential& compressed,
                                  attacks::AttackKind attack,
@@ -56,11 +41,6 @@ ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
 // integer-executable (compress::integer_blocker); throws otherwise.
 // `compressed` is non-const because the integer entry points hang packed
 // code panels off the layers' caches; logical state is untouched.
-ScenarioPoint evaluate_scenarios_integer(const nn::Sequential& baseline,
-                                         nn::Sequential& compressed,
-                                         attacks::AttackKind attack,
-                                         const attacks::AttackParams& params,
-                                         const data::Dataset& eval_set);
 ScenarioPoint evaluate_scenarios_integer(const nn::Sequential& baseline,
                                          nn::Sequential& compressed,
                                          attacks::AttackKind attack,

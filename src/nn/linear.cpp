@@ -108,7 +108,7 @@ Tensor Linear::backward(const Tensor& grad_out, TapeSlot& slot) const {
                          bwd_hist_.get(name_ + ".backward_ns"));
   if (slot.accumulate_param_grads) {
     // dW[out, in] = grad_out[N, out]^T * x[N, in]
-    Tensor dw = tensor::matmul_tn(grad_out, slot.input);
+    Tensor dw = tensor::gemm::matmul_tn(grad_out, slot.input);
     tensor::add_inplace(weight_.grad, dw);
     // db[out] = column sums of grad_out
     tensor::column_sums_add_inplace(bias_.grad, grad_out);

@@ -1,10 +1,10 @@
-// The pre-blocking scalar GEMM loops, verbatim from the original
-// tensor::matmul{,_tn,_nt}. They are the correctness oracle for
-// tests/test_gemm.cpp and the before/after baseline in bench_micro_ops, so
-// they live in their own translation unit compiled at the project-default
-// optimization level — the codegen callers actually ran before the blocked
-// kernels existed. Keep them byte-for-byte; the blocked kernels promise to
-// reproduce their output exactly.
+// The pre-blocking scalar GEMM loops, kept verbatim as they ran before the
+// blocked gemm::matmul_{nn,tn,nt} kernels existed. They are the correctness
+// oracle for tests/test_gemm.cpp and the before/after baseline in
+// bench_micro_ops, so they live in their own translation unit compiled at
+// the project-default optimization level — the codegen callers actually ran
+// then. Keep them byte-for-byte; the blocked kernels promise to reproduce
+// their output exactly.
 #include "tensor/gemm.h"
 
 namespace con::tensor::gemm {

@@ -277,22 +277,6 @@ Index argmax_row(const Tensor& a, Index row) {
 
 // ---- linear algebra -------------------------------------------------------
 
-// The matmul family delegates to the blocked kernels in tensor/gemm.h,
-// which reproduce the old scalar loops bit-for-bit (see gemm.h for the
-// argument) and fall back to them outright below a size threshold.
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  return gemm::matmul_nn(a, b);
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  return gemm::matmul_tn(a, b);
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  return gemm::matmul_nt(a, b);
-}
-
 Tensor transpose(const Tensor& a) {
   check_rank2(a, "transpose");
   const Index m = a.dim(0), n = a.dim(1);

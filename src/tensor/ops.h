@@ -97,12 +97,7 @@ void column_sums_add_inplace(Tensor& acc, const Tensor& m);
 [[nodiscard]] Index argmax_row(const Tensor& a, Index row);
 
 // ---- linear algebra -------------------------------------------------------
-// C[M,N] = A[M,K] * B[K,N].
-[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-// C[M,N] = A[K,M]^T * B[K,N].
-[[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
-// C[M,N] = A[M,K] * B[N,K]^T.
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
+// Matrix products live in tensor/gemm.h (gemm::matmul_nn, _tn, _nt).
 // Rank-2 transpose.
 [[nodiscard]] Tensor transpose(const Tensor& a);
 

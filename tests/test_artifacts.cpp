@@ -4,11 +4,8 @@
 // stores built from the same config hold byte-identical objects.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,9 +15,12 @@
 #include "compress/fixed_point.h"
 #include "core/artifacts.h"
 #include "core/study.h"
+#include "core/sweeps.h"
 #include "data/synth_digits.h"
 #include "io/checkpoint.h"
+#include "models/model_zoo.h"
 #include "store/store.h"
+#include "test_helpers.h"
 
 namespace con {
 namespace {
@@ -36,13 +36,7 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-// A guaranteed-cold store root (/tmp persists across test-binary runs).
-std::string fresh_store_dir(const std::string& stem) {
-  const std::string dir = ::testing::TempDir() + "/con_store_" + stem + "_" +
-                          std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using con::testing::fresh_store_dir;
 
 core::StudyConfig tiny_config() {
   core::StudyConfig cfg;
@@ -116,7 +110,7 @@ TEST(ArtifactClosures, EpsilonReaddressesCellsButNotCheckpoints) {
   EXPECT_NE(cell1, cell2) << "epsilon is a closure input of the cell";
   EXPECT_NE(cell1,
             core::transfer_cell_derivation(base, variant, ds, 12,
-                                           AttackKind::kFgsm, p1, "cell")
+                                           AttackKind::kIfgm, p1, "cell")
                 .hash())
       << "the attack kind is a closure input of the cell";
   EXPECT_NE(cell1,
@@ -195,7 +189,7 @@ TEST(Int8ArtifactClosures, FormatAxesReaddressIntegerCells) {
                                                 f8, f8)
                       .hash());
   EXPECT_NE(cell, core::integer_cell_derivation(base, variant, ds, 12,
-                                                AttackKind::kFgsm, p, "cell",
+                                                AttackKind::kIfgm, p, "cell",
                                                 f8, f8)
                       .hash());
   // Role attrs still break the sorted-input-set symmetry.
@@ -250,8 +244,8 @@ TEST(StoredStudy, TwoColdStoresAreByteIdentical) {
   const core::ModelArtifact v2 = s2.pruned_variant(0.5);
   EXPECT_EQ(v1.drv, v2.drv);
 
-  const std::vector<std::string> o1 = s1.store()->list_objects();
-  const std::vector<std::string> o2 = s2.store()->list_objects();
+  const std::vector<std::string> o1 = s1.store().list_objects();
+  const std::vector<std::string> o2 = s2.store().list_objects();
   ASSERT_EQ(o1.size(), o2.size());
   for (std::size_t i = 0; i < o1.size(); ++i) {
     // Same filename (address) under different roots, same bytes.
@@ -276,6 +270,20 @@ TEST(StoredStudy, SecondStudyIsServedFromTheStore) {
   EXPECT_EQ(io::model_state_hash(loaded).hex(),
             io::model_state_hash(trained).hex())
       << "a store hit must reproduce the trained state bit-exactly";
+}
+
+TEST(StoredStudy, ZeroDrvVariantIsRejected) {
+  // A cell's derivation hangs off its variant's; a model the store never
+  // saw has none, and the cell refuses it before crafting any attack.
+  core::StudyConfig cfg = tiny_config();
+  cfg.store_dir = fresh_store_dir("zero_drv");
+  core::Study study(cfg);
+  const core::ModelArtifact unstored{
+      models::make_model(cfg.network, cfg.seed), store::Hash{}};
+  EXPECT_THROW(core::evaluate_scenarios_stored(
+                   study, unstored, AttackKind::kIfgsm,
+                   AttackParams{.epsilon = 0.02f, .iterations = 1}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // tests pin the three guarantees the parallel harness depends on:
 //   1. eval-mode gradient computation on a shared model is bit-identical
 //      under concurrency (no hidden mutable state left in the layers),
-//   2. the chunked/parallel entry points (run_attack_batched,
-//      sweep_scenarios) produce exactly the serial result, and
+//   2. the chunked/parallel entry points (run_attack_batched, and
+//      sweep_scenarios with its workers realising cells in one store)
+//      produce exactly the serial result, and
 //   3. util::parallel_for covers its range exactly once, rethrows a
 //      worker exception on the caller, and leaves the pool usable.
 // Run them under CON_SANITIZE=thread to prove the data-race side of the
@@ -150,8 +151,8 @@ TEST_F(ConcurrencyTest, ConcurrentAttacksMatchSerialAttack) {
   const data::Dataset probe = split_->test.take(6);
   const attacks::AttackParams params{.epsilon = 0.03f, .iterations = 3};
   const Tensor reference =
-      attacks::run_attack(attacks::AttackKind::kIfgsm, *model_, probe.images,
-                          probe.labels, params);
+      attacks::run_attack_batched(attacks::AttackKind::kIfgsm, *model_,
+                                  probe.images, probe.labels, params);
 
   constexpr int kThreads = 4;
   std::vector<Tensor> results(kThreads);
@@ -160,8 +161,8 @@ TEST_F(ConcurrencyTest, ConcurrentAttacksMatchSerialAttack) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       results[t] =
-          attacks::run_attack(attacks::AttackKind::kIfgsm, *model_,
-                              probe.images, probe.labels, params);
+          attacks::run_attack_batched(attacks::AttackKind::kIfgsm, *model_,
+                                      probe.images, probe.labels, params);
     });
   }
   for (std::thread& th : threads) th.join();
@@ -179,60 +180,63 @@ TEST_F(ConcurrencyTest, BatchedAttackMatchesSerialChunksExactly) {
   const attacks::AttackParams params{.epsilon = 0.02f, .iterations = 2};
 
   const Tensor parallel = attacks::run_attack_batched(
-      attacks::AttackKind::kFgsm, *model_, probe.images, probe.labels, params);
+      attacks::AttackKind::kIfgsm, *model_, probe.images, probe.labels,
+      params);
 
   Tensor serial(probe.images.shape());
   const Index n = probe.images.dim(0);
   for (Index lo = 0; lo < n; lo += attacks::kAttackChunk) {
     const Index hi = std::min(n, lo + attacks::kAttackChunk);
-    std::vector<Index> dims = probe.images.shape().dims();
-    dims[0] = hi - lo;
-    Tensor chunk{tensor::Shape{dims}};
-    for (Index i = lo; i < hi; ++i) {
-      tensor::set_batch(chunk, i - lo, tensor::slice_batch(probe.images, i));
-    }
-    std::vector<int> chunk_labels(probe.labels.begin() + lo,
-                                  probe.labels.begin() + hi);
-    Tensor adv = attacks::run_attack(attacks::AttackKind::kFgsm, *model_,
-                                     chunk, chunk_labels, params);
-    for (Index i = lo; i < hi; ++i) {
-      tensor::set_batch(serial, i, tensor::slice_batch(adv, i - lo));
-    }
+    const Tensor chunk = tensor::copy_rows(probe.images, lo, hi);
+    const std::vector<int> chunk_labels(probe.labels.begin() + lo,
+                                        probe.labels.begin() + hi);
+    Tensor adv(chunk.shape());
+    attacks::fast_gradient_range(*model_, chunk, 0, hi - lo, chunk_labels,
+                                 params, attacks::FastGradientRule::kSign,
+                                 adv);
+    tensor::write_rows(serial, lo, adv);
   }
   expect_bit_identical(parallel, serial);
 
   // And the parallel path is deterministic run-to-run despite pool
   // scheduling variance.
   const Tensor again = attacks::run_attack_batched(
-      attacks::AttackKind::kFgsm, *model_, probe.images, probe.labels, params);
+      attacks::AttackKind::kIfgsm, *model_, probe.images, probe.labels,
+      params);
   expect_bit_identical(again, parallel);
 }
 
 TEST_F(ConcurrencyTest, SweepScenariosMatchesSerialEvaluationCellForCell) {
-  // The parallel transfer-study sweep must reproduce the serial loop
-  // exactly — same cells, same order, same doubles.
-  std::vector<nn::Sequential> family;
-  family.push_back(model_->clone());
-  family.push_back(model_->clone());
-  // Make the second member genuinely different: prune a quarter of the
-  // first compressible parameter.
-  for (nn::Parameter* p : family[1].parameters()) {
-    if (!p->compressible) continue;
-    p->mask = Tensor(p->value.shape(), 1.0f);
-    for (Index i = 0; i < p->value.numel() / 4; ++i) p->mask[i] = 0.0f;
-    p->bump_version();
-    break;
-  }
-  const data::Dataset eval_set = split_->test.take(48);
+  // The parallel store-backed sweep, run on a cold store so every worker
+  // realises its cell through Store::realise, must reproduce a serial loop
+  // over the same cells exactly — same cells, same order, same doubles.
+  core::StudyConfig cfg;
+  cfg.network = "lenet5-small";
+  cfg.train_size = 96;
+  cfg.test_size = 48;
+  cfg.attack_size = 48;
+  cfg.baseline_epochs = 1;
+  cfg.batch_size = 16;
+  cfg.finetune.epochs = 1;
+  cfg.finetune.batch_size = 16;
+  cfg.store_dir = con::testing::fresh_store_dir("parallel_sweep");
+  core::Study study(cfg);
+  const std::vector<core::ModelArtifact> family =
+      core::build_pruned_family(study, {1.0, 0.75, 0.5});
+  const attacks::AttackKind kind = attacks::AttackKind::kIfgsm;
   const attacks::AttackParams params{.epsilon = 0.02f, .iterations = 2};
 
-  const std::vector<core::ScenarioPoint> parallel = core::sweep_scenarios(
-      *model_, family, attacks::AttackKind::kIfgsm, params, eval_set);
+  const std::vector<core::ScenarioPoint> parallel =
+      core::sweep_scenarios(study, family, kind, params);
 
+  const data::Dataset& eval_set = study.attack_set();
+  const Tensor baseline_adv = attacks::run_attack_batched(
+      kind, study.baseline(), eval_set.images, eval_set.labels, params);
   ASSERT_EQ(parallel.size(), family.size());
   for (std::size_t i = 0; i < family.size(); ++i) {
     const core::ScenarioPoint serial = core::evaluate_scenarios(
-        *model_, family[i], attacks::AttackKind::kIfgsm, params, eval_set);
+        study.baseline(), family[i].model, kind, params, eval_set,
+        baseline_adv);
     EXPECT_DOUBLE_EQ(parallel[i].base_accuracy, serial.base_accuracy);
     EXPECT_DOUBLE_EQ(parallel[i].comp_to_comp, serial.comp_to_comp);
     EXPECT_DOUBLE_EQ(parallel[i].full_to_comp, serial.full_to_comp);

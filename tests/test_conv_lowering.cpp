@@ -560,7 +560,7 @@ class ColumnsConv2d : public nn::Layer {
       }
     }
     if (slot.accumulate_param_grads) {
-      tensor::add_inplace(weight_.grad, tensor::matmul_nt(go, slot.aux));
+      tensor::add_inplace(weight_.grad, gemm::matmul_nt(go, slot.aux));
       for (Index c = 0; c < m; ++c) {
         double acc = 0.0;
         for (Index p = 0; p < total; ++p) acc += go[c * total + p];

@@ -190,10 +190,11 @@ TEST_F(StudyTest, ScenarioEvaluationSelfConsistency) {
   // With compressed == an exact copy of the baseline, all three scenarios
   // coincide (same weights, same gradients).
   nn::Sequential copy = study_->baseline().clone();
+  const attacks::AttackParams params{.epsilon = 0.02f, .iterations = 4};
   ScenarioPoint p = evaluate_scenarios(
-      study_->baseline(), copy, attacks::AttackKind::kIfgsm,
-      attacks::AttackParams{.epsilon = 0.02f, .iterations = 4},
-      study_->attack_set());
+      study_->baseline(), copy, attacks::AttackKind::kIfgsm, params,
+      study_->attack_set(),
+      study_->baseline_adversarial(attacks::AttackKind::kIfgsm, params));
   EXPECT_DOUBLE_EQ(p.comp_to_comp, p.comp_to_full);
   EXPECT_DOUBLE_EQ(p.comp_to_comp, p.full_to_comp);
   EXPECT_LT(p.comp_to_comp, p.base_accuracy);
@@ -201,13 +202,13 @@ TEST_F(StudyTest, ScenarioEvaluationSelfConsistency) {
 
 TEST_F(StudyTest, AdversarialAccuracyBelowClean) {
   nn::Sequential& base = study_->baseline();
-  const double adv = adversarial_accuracy(
-      base, base, attacks::AttackKind::kIfgsm,
-      attacks::AttackParams{.epsilon = 0.03f, .iterations = 6},
-      study_->attack_set());
-  const double clean = nn::evaluate_accuracy(
-      base, study_->attack_set().images, study_->attack_set().labels);
-  EXPECT_LT(adv, clean);
+  const data::Dataset& probes = study_->attack_set();
+  const Tensor adv = attacks::run_attack_batched(
+      attacks::AttackKind::kIfgsm, base, probes.images, probes.labels,
+      attacks::AttackParams{.epsilon = 0.03f, .iterations = 6});
+  const double clean =
+      nn::evaluate_accuracy(base, probes.images, probes.labels);
+  EXPECT_LT(nn::evaluate_accuracy(base, adv, probes.labels), clean);
 }
 
 TEST_F(StudyTest, TransferRateBetweenIdenticalModelsIsTotal) {
@@ -220,18 +221,13 @@ TEST_F(StudyTest, TransferRateBetweenIdenticalModelsIsTotal) {
 }
 
 TEST_F(StudyTest, PrunedFamilySweepProducesOrderedDensities) {
-  std::vector<double> densities = {1.0, 0.5};
-  compress::FineTuneConfig ft{.epochs = 1, .batch_size = 32};
-  auto family = build_pruned_family(study_->baseline(), study_->train_set(),
-                                    densities, ft);
+  auto family = build_pruned_family(*study_, {1.0, 0.5});
   ASSERT_EQ(family.size(), 2u);
-  EXPECT_NEAR(family[0].density(), 1.0, 1e-9);
-  EXPECT_NEAR(family[1].density(), 0.5, 0.05);
-  auto points = sweep_scenarios(study_->baseline(), family,
-                                attacks::AttackKind::kIfgsm,
-                                attacks::AttackParams{.epsilon = 0.02f,
-                                                      .iterations = 4},
-                                study_->attack_set());
+  EXPECT_NEAR(family[0].model.density(), 1.0, 1e-9);
+  EXPECT_NEAR(family[1].model.density(), 0.5, 0.05);
+  auto points = sweep_scenarios(
+      *study_, family, attacks::AttackKind::kIfgsm,
+      attacks::AttackParams{.epsilon = 0.02f, .iterations = 4});
   ASSERT_EQ(points.size(), 2u);
   for (const ScenarioPoint& p : points) {
     EXPECT_GE(p.base_accuracy, 0.0);
@@ -242,14 +238,11 @@ TEST_F(StudyTest, PrunedFamilySweepProducesOrderedDensities) {
 }
 
 TEST_F(StudyTest, QuantizedFamilySweep) {
-  std::vector<int> bits = {4, 32};
-  compress::FineTuneConfig ft{.epochs = 1, .batch_size = 32};
-  auto family = build_quantized_family(study_->baseline(),
-                                       study_->train_set(), bits, ft);
+  auto family = build_quantized_family(*study_, {4, 32});
   ASSERT_EQ(family.size(), 2u);
   // 32-bit fixed point behaves like the float baseline
   const double acc32 = nn::evaluate_accuracy(
-      family[1], study_->test_set().images, study_->test_set().labels);
+      family[1].model, study_->test_set().images, study_->test_set().labels);
   EXPECT_NEAR(acc32, study_->baseline_accuracy(), 0.08);
 }
 

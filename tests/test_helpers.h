@@ -1,10 +1,17 @@
 // Shared helpers for the test suite: numerical gradient checking, small
-// model/dataset builders and the list of kernel tables to check.
+// model/dataset builders, cold store roots and the list of kernel tables to
+// check.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "nn/loss.h"
@@ -18,6 +25,17 @@ namespace con::testing {
 
 using tensor::Index;
 using tensor::Tensor;
+
+// A guaranteed-cold store root: /tmp survives across test-binary runs, so
+// scrub any leftover state (and pid-suffix against concurrent runners).
+inline std::string fresh_store_dir(const std::string& stem) {
+  static std::atomic<int> serial{0};
+  const std::string dir = ::testing::TempDir() + "/con_store_" + stem + "_" +
+                          std::to_string(::getpid()) + "_" +
+                          std::to_string(serial.fetch_add(1));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
 
 // Central-difference numerical gradient of `f` w.r.t. `x`.
 inline Tensor numerical_gradient(const std::function<double(const Tensor&)>& f,

@@ -55,13 +55,10 @@ std::string IntegrationTest::artifacts_dir_;
 TEST_F(IntegrationTest, FullPruningPipelineReproducesHeadlineFinding) {
   // The paper's headline: adversarial samples transfer between compressed
   // and uncompressed models at moderate sparsity.
-  nn::Sequential pruned = compress::make_pruned_model(
-      study_->baseline(), study_->train_set(), 0.4,
-      study_->config().finetune);
-  core::ScenarioPoint p = core::evaluate_scenarios(
-      study_->baseline(), pruned, attacks::AttackKind::kIfgsm,
-      attacks::paper_params(attacks::AttackKind::kIfgsm, "lenet5"),
-      study_->attack_set());
+  const core::ModelArtifact pruned = study_->pruned_variant(0.4);
+  core::ScenarioPoint p = core::evaluate_scenarios_stored(
+      *study_, pruned, attacks::AttackKind::kIfgsm,
+      attacks::paper_params(attacks::AttackKind::kIfgsm, "lenet5"));
   // the compressed model still works...
   EXPECT_GT(p.base_accuracy, 0.6);
   // ...and attacks cross the compression boundary in both directions
@@ -70,18 +67,14 @@ TEST_F(IntegrationTest, FullPruningPipelineReproducesHeadlineFinding) {
 }
 
 TEST_F(IntegrationTest, QuantisedPipelineShowsClippingDefence) {
-  nn::Sequential q4 = compress::make_quantized_model(
-      study_->baseline(), study_->train_set(), 4, study_->config().finetune);
-  nn::Sequential q16 = compress::make_quantized_model(
-      study_->baseline(), study_->train_set(), 16, study_->config().finetune);
   const auto params =
       attacks::paper_params(attacks::AttackKind::kIfgsm, "lenet5");
-  core::ScenarioPoint p4 = core::evaluate_scenarios(
-      study_->baseline(), q4, attacks::AttackKind::kIfgsm, params,
-      study_->attack_set());
-  core::ScenarioPoint p16 = core::evaluate_scenarios(
-      study_->baseline(), q16, attacks::AttackKind::kIfgsm, params,
-      study_->attack_set());
+  core::ScenarioPoint p4 = core::evaluate_scenarios_stored(
+      *study_, study_->quantized_variant(4), attacks::AttackKind::kIfgsm,
+      params);
+  core::ScenarioPoint p16 = core::evaluate_scenarios_stored(
+      *study_, study_->quantized_variant(16), attacks::AttackKind::kIfgsm,
+      params);
   // §4.2: lower integer precision weakens comp->full transfer (higher
   // adversarial accuracy on the baseline)
   EXPECT_GE(p4.comp_to_full + 0.02, p16.comp_to_full);
@@ -100,10 +93,10 @@ TEST_F(IntegrationTest, CompressedCheckpointRoundTripsThroughAttack) {
 
   const data::Dataset& probes = study_->attack_set();
   const auto params = attacks::AttackParams{.epsilon = 0.02f, .iterations = 6};
-  tensor::Tensor adv_a = attacks::run_attack(
+  tensor::Tensor adv_a = attacks::run_attack_batched(
       attacks::AttackKind::kIfgsm, pruned, probes.images, probes.labels,
       params);
-  tensor::Tensor adv_b = attacks::run_attack(
+  tensor::Tensor adv_b = attacks::run_attack_batched(
       attacks::AttackKind::kIfgsm, reloaded, probes.images, probes.labels,
       params);
   for (tensor::Index i = 0; i < adv_a.numel(); ++i) {
@@ -112,15 +105,17 @@ TEST_F(IntegrationTest, CompressedCheckpointRoundTripsThroughAttack) {
 }
 
 TEST_F(IntegrationTest, SweepGridMatchesFamilyOrder) {
-  const std::vector<double> densities = {1.0, 0.3};
-  auto family = core::build_pruned_family(
-      study_->baseline(), study_->train_set(), densities,
-      compress::FineTuneConfig{.epochs = 0});
+  // A second study on the same store: the baseline is served from it, and
+  // zero fine-tuning epochs keep the two prunes cheap.
+  core::StudyConfig cfg = study_->config();
+  cfg.finetune.epochs = 0;
+  core::Study untuned(cfg);
+  auto family = core::build_pruned_family(untuned, {1.0, 0.3});
   ASSERT_EQ(family.size(), 2u);
-  EXPECT_NEAR(family[0].density(), 1.0, 1e-9);
-  EXPECT_NEAR(family[1].density(), 0.3, 0.05);
+  EXPECT_NEAR(family[0].model.density(), 1.0, 1e-9);
+  EXPECT_NEAR(family[1].model.density(), 0.3, 0.05);
   // names encode the density for artifact bookkeeping
-  EXPECT_NE(family[1].name().find("0.300"), std::string::npos);
+  EXPECT_NE(family[1].model.name().find("0.300"), std::string::npos);
 }
 
 TEST_F(IntegrationTest, AttackSubsetIsDeterministicAcrossRuns) {
@@ -133,11 +128,11 @@ TEST_F(IntegrationTest, AttackSubsetIsDeterministicAcrossRuns) {
   for (tensor::Index i = 0; i < a.images.numel(); ++i) {
     ASSERT_EQ(a.images[i], b.images[i]);
   }
-  tensor::Tensor adv_a = attacks::run_attack(
-      attacks::AttackKind::kFgsm, study_->baseline(), a.images, a.labels,
+  tensor::Tensor adv_a = attacks::run_attack_batched(
+      attacks::AttackKind::kIfgsm, study_->baseline(), a.images, a.labels,
       attacks::AttackParams{.epsilon = 0.02f, .iterations = 1});
-  tensor::Tensor adv_b = attacks::run_attack(
-      attacks::AttackKind::kFgsm, again.baseline(), b.images, b.labels,
+  tensor::Tensor adv_b = attacks::run_attack_batched(
+      attacks::AttackKind::kIfgsm, again.baseline(), b.images, b.labels,
       attacks::AttackParams{.epsilon = 0.02f, .iterations = 1});
   for (tensor::Index i = 0; i < adv_a.numel(); ++i) {
     ASSERT_EQ(adv_a[i], adv_b[i]);

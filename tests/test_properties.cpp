@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "attacks/attack.h"
 #include "compress/pruner.h"
@@ -26,8 +27,22 @@ using tensor::Tensor;
 
 // ---- attack-family invariants ----------------------------------------------
 
-class AttackInvariants
-    : public ::testing::TestWithParam<attacks::AttackKind> {
+// The cases are the three attacks plus single-step IFGM and IFGSM
+// (iterations = 1), named fgm and fgsm after the classic attacks.
+enum class AttackCase { kIfgmOneStep, kIfgsmOneStep, kIfgm, kIfgsm, kDeepFool };
+
+std::string case_name(AttackCase c) {
+  switch (c) {
+    case AttackCase::kIfgmOneStep: return "fgm";
+    case AttackCase::kIfgsmOneStep: return "fgsm";
+    case AttackCase::kIfgm: return "ifgm";
+    case AttackCase::kIfgsm: return "ifgsm";
+    case AttackCase::kDeepFool: return "deepfool";
+  }
+  return "";
+}
+
+class AttackInvariants : public ::testing::TestWithParam<AttackCase> {
  protected:
   static void SetUpTestSuite() {
     data::SynthDigitsConfig dc;
@@ -46,6 +61,25 @@ class AttackInvariants
     model_ = nullptr;
     split_ = nullptr;
   }
+
+  // The case's Table 1 attack on `sub`.
+  static Tensor attack(const data::Dataset& sub) {
+    using attacks::AttackKind;
+    const AttackCase c = GetParam();
+    const bool one_step =
+        c == AttackCase::kIfgmOneStep || c == AttackCase::kIfgsmOneStep;
+    AttackKind kind = AttackKind::kDeepFool;
+    if (c == AttackCase::kIfgmOneStep || c == AttackCase::kIfgm) {
+      kind = AttackKind::kIfgm;
+    } else if (c == AttackCase::kIfgsmOneStep || c == AttackCase::kIfgsm) {
+      kind = AttackKind::kIfgsm;
+    }
+    attacks::AttackParams params = attacks::paper_params(kind, "lenet5");
+    if (one_step) params.iterations = 1;
+    return attacks::run_attack_batched(kind, *model_, sub.images, sub.labels,
+                                       params);
+  }
+
   static nn::Sequential* model_;
   static data::TrainTestSplit* split_;
 };
@@ -54,21 +88,15 @@ nn::Sequential* AttackInvariants::model_ = nullptr;
 data::TrainTestSplit* AttackInvariants::split_ = nullptr;
 
 TEST_P(AttackInvariants, OutputsStayInPixelDomain) {
-  data::Dataset sub = split_->test.take(15);
-  Tensor adv = attacks::run_attack(GetParam(), *model_, sub.images,
-                                   sub.labels,
-                                   attacks::paper_params(GetParam(), "lenet5"));
+  Tensor adv = attack(split_->test.take(15));
   EXPECT_GE(tensor::min_value(adv), 0.0f);
   EXPECT_LE(tensor::max_value(adv), 1.0f);
 }
 
 TEST_P(AttackInvariants, DeterministicGivenSameInputs) {
   data::Dataset sub = split_->test.take(6);
-  const auto params = attacks::paper_params(GetParam(), "lenet5");
-  Tensor a = attacks::run_attack(GetParam(), *model_, sub.images, sub.labels,
-                                 params);
-  Tensor b = attacks::run_attack(GetParam(), *model_, sub.images, sub.labels,
-                                 params);
+  Tensor a = attack(sub);
+  Tensor b = attack(sub);
   for (Index i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]);
 }
 
@@ -79,8 +107,7 @@ TEST_P(AttackInvariants, DoesNotMutateModelWeights) {
     before.insert(before.end(), p->value.flat().begin(),
                   p->value.flat().end());
   }
-  attacks::run_attack(GetParam(), *model_, sub.images, sub.labels,
-                      attacks::paper_params(GetParam(), "lenet5"));
+  attack(sub);
   std::size_t i = 0;
   for (nn::Parameter* p : model_->parameters()) {
     for (float v : p->value.flat()) ASSERT_EQ(v, before[i++]);
@@ -91,20 +118,18 @@ TEST_P(AttackInvariants, IncreasesMeanLoss) {
   data::Dataset sub = split_->test.take(40);
   const double before =
       nn::evaluate_loss(*model_, sub.images, sub.labels);
-  Tensor adv = attacks::run_attack(GetParam(), *model_, sub.images,
-                                   sub.labels,
-                                   attacks::paper_params(GetParam(), "lenet5"));
+  Tensor adv = attack(sub);
   const double after = nn::evaluate_loss(*model_, adv, sub.labels);
   EXPECT_GT(after, before);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAttacks, AttackInvariants,
-    ::testing::Values(attacks::AttackKind::kFgm, attacks::AttackKind::kFgsm,
-                      attacks::AttackKind::kIfgm, attacks::AttackKind::kIfgsm,
-                      attacks::AttackKind::kDeepFool),
-    [](const ::testing::TestParamInfo<attacks::AttackKind>& info) {
-      return attacks::attack_name(info.param);
+    ::testing::Values(AttackCase::kIfgmOneStep, AttackCase::kIfgsmOneStep,
+                      AttackCase::kIfgm, AttackCase::kIfgsm,
+                      AttackCase::kDeepFool),
+    [](const ::testing::TestParamInfo<AttackCase>& info) {
+      return case_name(info.param);
     });
 
 // ---- pruning invariants ------------------------------------------------------

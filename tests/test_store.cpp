@@ -5,8 +5,6 @@
 // `store_gc_smoke` ctest (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -22,6 +20,7 @@
 #include "store/derivation.h"
 #include "store/hash.h"
 #include "store/store.h"
+#include "test_helpers.h"
 
 namespace con {
 namespace {
@@ -45,16 +44,7 @@ bool file_exists(const std::string& path) {
   return f.good();
 }
 
-// A guaranteed-cold store root: /tmp survives across test-binary runs, so
-// scrub any leftover state (and pid-suffix against concurrent runners).
-std::string fresh_store_dir(const std::string& stem) {
-  static std::atomic<int> serial{0};
-  const std::string dir = ::testing::TempDir() + "/con_store_" + stem + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(serial.fetch_add(1));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using con::testing::fresh_store_dir;
 
 // ---------------------------------------------------------------- SHA-256
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
@@ -133,7 +134,7 @@ TEST(Ops, ArgmaxRowPicksPerRow) {
 TEST(Ops, MatmulAgainstHandComputation) {
   Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
   Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-  Tensor c = matmul(a, b);
+  Tensor c = gemm::matmul_nn(a, b);
   EXPECT_FLOAT_EQ(c.at({0, 0}), 58.0f);
   EXPECT_FLOAT_EQ(c.at({0, 1}), 64.0f);
   EXPECT_FLOAT_EQ(c.at({1, 0}), 139.0f);
@@ -141,7 +142,8 @@ TEST(Ops, MatmulAgainstHandComputation) {
 }
 
 TEST(Ops, MatmulInnerDimMismatchThrows) {
-  EXPECT_THROW(matmul(Tensor({2, 3}), Tensor({2, 3})), std::invalid_argument);
+  EXPECT_THROW((void)gemm::matmul_nn(Tensor({2, 3}), Tensor({2, 3})),
+               std::invalid_argument);
 }
 
 TEST(Ops, MatmulVariantsAgreeWithExplicitTranspose) {
@@ -153,14 +155,14 @@ TEST(Ops, MatmulVariantsAgreeWithExplicitTranspose) {
   fill_normal(b, rng, 0.0f, 1.0f);
   fill_normal(c, rng, 0.0f, 1.0f);
   // matmul_tn(a, b) == a^T b
-  Tensor expected_tn = matmul(transpose(a), b);
-  Tensor got_tn = matmul_tn(a, b);
+  Tensor expected_tn = gemm::matmul_nn(transpose(a), b);
+  Tensor got_tn = gemm::matmul_tn(a, b);
   for (Index i = 0; i < expected_tn.numel(); ++i) {
     EXPECT_NEAR(got_tn[i], expected_tn[i], 1e-4f);
   }
   // matmul_nt(a, c) == a c^T
-  Tensor expected_nt = matmul(a, transpose(c));
-  Tensor got_nt = matmul_nt(a, c);
+  Tensor expected_nt = gemm::matmul_nn(a, transpose(c));
+  Tensor got_nt = gemm::matmul_nt(a, c);
   for (Index i = 0; i < expected_nt.numel(); ++i) {
     EXPECT_NEAR(got_nt[i], expected_nt[i], 1e-4f);
   }
