@@ -8,7 +8,8 @@
 // with at least one complete ("X") span carrying the Chrome trace_event
 // envelope, and name every thread via "M" metadata. A manifest must carry
 // the keys downstream comparison tooling relies on: name, git, wall time,
-// threads, a config object and a non-empty metrics.counters object —
+// threads, a config object, a non-empty metrics.counters object and a
+// metrics.distributions object whose entries each carry count and p50 —
 // including the artifact-store section (store.hit / store.miss /
 // store.evict / store.gc_bytes), which bench::finish_run guarantees in
 // every manifest. With --expect-store-hits-only the manifest must describe
@@ -24,7 +25,7 @@
 // A telemetry file (--telemetry) must be JSONL with strictly sequential
 // "seq" numbers from 0, nondecreasing elapsed_s, a counters_delta object on
 // every periodic record, and a last record marked "final": true carrying
-// full counters / distributions / histograms sections. When --telemetry and
+// full counters and distributions sections. When --telemetry and
 // --manifest are both given, the final record's counters object must
 // serialize to exactly the same bytes as the manifest's metrics.counters —
 // the sampler quiesce contract (obs/sampler.h). A manifest whose
@@ -56,6 +57,19 @@ std::string read_file(const std::string& path) {
 
 void require(bool ok, const std::string& what) {
   if (!ok) throw std::runtime_error(what);
+}
+
+// A distributions section: an object whose entries each carry count and
+// p50.
+void validate_distributions(const Json* dists, const std::string& where) {
+  require(dists != nullptr && dists->kind() == Json::Kind::kObject,
+          where + " missing distributions object");
+  for (const auto& [name, entry] : dists->members()) {
+    for (const char* key : {"count", "p50"}) {
+      require(entry.find(key) != nullptr,
+              where + " distribution " + name + " missing " + key);
+    }
+  }
 }
 
 void validate_trace(const std::string& path) {
@@ -143,10 +157,8 @@ void validate_manifest(const std::string& path, bool expect_store_hits_only,
             "store.hit == 0 — a warm run never touched the store");
   }
   if (expect_integer_path) validate_integer_path(*counters);
-  require(doc.find("metrics")->find("distributions") != nullptr,
-          "missing metrics.distributions");
-  require(doc.find("metrics")->find("histograms") != nullptr,
-          "missing metrics.histograms");
+  validate_distributions(doc.find("metrics")->find("distributions"),
+                         "metrics:");
   // Trace-ring drop accounting (always present): drops do not fail the
   // manifest — the spans that did land are still valid — but a truncated
   // trace should never pass silently.
@@ -202,12 +214,11 @@ Json validate_telemetry(const std::string& path) {
       require(final_marker != nullptr && final_marker->as_bool(),
               where + ": last record is not marked final "
                       "(the run never quiesced its sampler)");
-      for (const char* key : {"counters", "distributions", "histograms"}) {
-        const Json* section = rec.find(key);
-        require(section != nullptr &&
-                    section->kind() == Json::Kind::kObject,
-                where + ": final record missing " + key + " object");
-      }
+      const Json* counters = rec.find("counters");
+      require(counters != nullptr && counters->kind() == Json::Kind::kObject,
+              where + ": final record missing counters object");
+      validate_distributions(rec.find("distributions"),
+                             where + ": final record");
       require(rec.find("trace_dropped") != nullptr,
               where + ": final record missing trace_dropped");
     } else {

@@ -126,19 +126,16 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
   std::vector<Index> keep2;
 
   static obs::Counter& iters = obs::counter("attack.deepfool.iterations");
+  // Integer observations: every field, buckets included, is identical for
+  // any --threads value, so the active-set decay curve compares across
+  // thread counts.
   static obs::Distribution& active =
       obs::dist("attack.deepfool.active_rows");
-  // Same observations as the distribution, but bucketed: the histogram's
-  // exact integer counts make the active-set decay curve comparable across
-  // --threads settings, where per-thread min/max interleavings are not.
-  static obs::Histogram& active_hist =
-      obs::histogram("attack.deepfool.active_rows");
   int it = 0;
   // conlint:hotpath begin
   while (!rows.empty() && it < params.iterations) {
     iters.add(1);
     active.record(static_cast<double>(rows.size()));
-    active_hist.record(static_cast<std::uint64_t>(rows.size()));
     // x_i = x0 + (1 + η) r, clamped — the iterate carries the overshoot,
     // as in the reference implementation.
     tensor::add_scaled_into(xi, x0, r, 1.0f + overshoot);

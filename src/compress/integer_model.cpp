@@ -11,6 +11,7 @@
 #include "nn/linear.h"
 #include "nn/pooling.h"
 #include "nn/tape.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 #include "util/threadpool.h"
 
@@ -132,6 +133,7 @@ Tensor integer_forward(nn::Sequential& model, const Tensor& x) {
   // not run, and its ReLU is the requantiser's max(out_lo, 0).
   for (const nn::Sequential::Group& g : model.groups()) {
     nn::Layer& layer = model.layer(g.first);
+    obs::Span span(g.name, "int8");
     if (auto* lin = dynamic_cast<nn::Linear*>(&layer)) {
       cur = lin->forward_int8(
           cur, make_key(*weight_format_of(lin->weight()), *afmt), g.tail.relu);

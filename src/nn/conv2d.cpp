@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/obs.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/random.h"
@@ -60,9 +59,6 @@ Tensor Conv2d::forward(const Tensor& x, bool train, TapeSlot& slot,
                                 std::to_string(spec_.in_channels) +
                                 ", H, W], got " + x.shape().to_string());
   }
-  obs::Span span(name_, "fwd");
-  obs::ScopedTimer timer(fwd_time_.get(name_ + ".forward_s"),
-                         fwd_hist_.get(name_ + ".forward_ns"));
   const Index n = x.dim(0);
   slot.geom = tensor::Conv2dGeometry{
       .in_channels = spec_.in_channels,
@@ -106,7 +102,6 @@ Tensor Conv2d::forward_int8(const Tensor& x, const Int8FormatKey& key,
                                 std::to_string(spec_.in_channels) +
                                 ", H, W], got " + x.shape().to_string());
   }
-  obs::Span span(name_, "int8");
   const Index n = x.dim(0);
   const tensor::Conv2dGeometry geom{
       .in_channels = spec_.in_channels,
@@ -146,9 +141,6 @@ Tensor Conv2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
     throw std::invalid_argument(name_ + ": bad grad_out shape " +
                                 grad_out.shape().to_string());
   }
-  obs::Span span(name_, "bwd");
-  obs::ScopedTimer timer(bwd_time_.get(name_ + ".backward_s"),
-                         bwd_hist_.get(name_ + ".backward_ns"));
   const float* go = grad_out.data();
   const Index m = spec_.out_channels;
   if (slot.accumulate_param_grads) {

@@ -10,7 +10,6 @@
 
 #include "nn/layer.h"
 #include "nn/packed_weights.h"
-#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -68,12 +67,6 @@ class Conv2d : public Layer {
   // Packed effective-weight panels, rebuilt when weight_'s fingerprint
   // changes (internally mutable: packing is not logical layer state).
   PackedWeightsCache cache_;
-  // Per-layer wall-time distributions ("<name>.forward_s" / ".backward_s")
-  // plus log2-bucketed latency histograms (".forward_ns" / ".backward_ns").
-  mutable obs::LazyDist fwd_time_;
-  mutable obs::LazyDist bwd_time_;
-  mutable obs::LazyHist fwd_hist_;
-  mutable obs::LazyHist bwd_hist_;
 };
 
 }  // namespace con::nn

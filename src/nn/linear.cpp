@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/obs.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
@@ -53,9 +52,6 @@ Tensor Linear::forward(const Tensor& x, bool train, TapeSlot& slot,
                                 std::to_string(in_features_) + "], got " +
                                 x.shape().to_string());
   }
-  obs::Span span(name_, "fwd");
-  obs::ScopedTimer timer(fwd_time_.get(name_ + ".forward_s"),
-                         fwd_hist_.get(name_ + ".forward_ns"));
   slot.input = x;
   slot.packed = cache_.get(weight_, &pack_linear);
   // The optimizer reads grad_gate at step() time; only a training forward
@@ -77,7 +73,6 @@ Tensor Linear::forward_int8(const Tensor& x, const Int8FormatKey& key,
                                 std::to_string(in_features_) + "], got " +
                                 x.shape().to_string());
   }
-  obs::Span span(name_, "int8");
   const Index n = x.dim(0);
   const auto pw = cache_.get_int8(weight_, bias_, key, &pack_linear_int8);
   // Input codes, packed as the left operand.
@@ -103,9 +98,6 @@ Tensor Linear::backward(const Tensor& grad_out, TapeSlot& slot) const {
     throw std::invalid_argument(name_ + ": bad grad_out shape " +
                                 grad_out.shape().to_string());
   }
-  obs::Span span(name_, "bwd");
-  obs::ScopedTimer timer(bwd_time_.get(name_ + ".backward_s"),
-                         bwd_hist_.get(name_ + ".backward_ns"));
   if (slot.accumulate_param_grads) {
     // dW[out, in] = grad_out[N, out]^T * x[N, in]
     Tensor dw = tensor::gemm::matmul_tn(grad_out, slot.input);

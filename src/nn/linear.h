@@ -3,7 +3,6 @@
 
 #include "nn/layer.h"
 #include "nn/packed_weights.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace con::nn {
@@ -53,12 +52,6 @@ class Linear : public Layer {
   // Packed effective-weight panels, rebuilt when weight_'s fingerprint
   // changes (internally mutable: packing is not logical layer state).
   PackedWeightsCache cache_;
-  // Per-layer wall-time distributions ("<name>.forward_s" / ".backward_s")
-  // plus log2-bucketed latency histograms (".forward_ns" / ".backward_ns").
-  mutable obs::LazyDist fwd_time_;
-  mutable obs::LazyDist bwd_time_;
-  mutable obs::LazyHist fwd_hist_;
-  mutable obs::LazyHist bwd_hist_;
 };
 
 }  // namespace con::nn

@@ -43,15 +43,17 @@ bool extend(tensor::OutputTail& tail, const tensor::OutputTail& step) {
 void Sequential::regroup() {
   groups_.clear();
   for (std::size_t i = 0; i < layers_.size();) {
-    Group g{.first = i, .end = i + 1, .tail = {}};
+    Group g{.first = i, .end = i + 1, .tail = {}, .name = layers_[i]->name()};
     if (takes_tail(*layers_[i])) {
       while (g.end < layers_.size() &&
              extend(g.tail, layers_[g.end]->as_tail())) {
         ++g.end;
       }
     }
-    groups_.push_back(g);
+    g.forward_ns = &obs::dist(g.name + ".forward_ns");
+    g.backward_ns = &obs::dist(g.name + ".backward_ns");
     i = g.end;
+    groups_.push_back(std::move(g));
   }
 }
 
@@ -70,7 +72,7 @@ Tensor Sequential::forward(const Tensor& x, bool train,
   // batch into a working tensor — forward is called once per attack
   // iteration, so the head copy was a full-batch allocation per step.
   if (layers_.empty()) return x;
-  obs::Span span(name_, "forward");
+  obs::Span model_span(name_, "forward");
   static obs::Counter& calls = obs::counter("model.forward_calls");
   calls.add(1);
   // The tape spans every layer, also when the last ones are fused into a
@@ -81,6 +83,8 @@ Tensor Sequential::forward(const Tensor& x, bool train,
   for (const Group& g : groups_) {
     const Layer& layer = *layers_[g.first];
     TapeSlot& slot = tape.slot(g.first);
+    obs::Span span(g.name, "fwd");
+    obs::ScopedTimer timer(*g.forward_ns);
     if (g.tail.empty()) {
       h = layer.forward(*in, train, slot);
     } else if (const auto* conv = dynamic_cast<const Conv2d*>(&layer)) {
@@ -100,13 +104,15 @@ Tensor Sequential::backward(const Tensor& grad_logits,
         "Sequential::backward: tape has no matching forward");
   }
   if (layers_.empty()) return grad_logits;
-  obs::Span span(name_, "backward");
+  obs::Span model_span(name_, "backward");
   static obs::Counter& calls = obs::counter("model.backward_calls");
   calls.add(1);
   Tensor g;
   const Tensor* in = &grad_logits;
   for (auto it = groups_.rbegin(); it != groups_.rend(); ++it) {
     TapeSlot& slot = tape.slot(it->first);
+    obs::Span span(it->name, "bwd");
+    obs::ScopedTimer timer(*it->backward_ns);
     if (!it->tail.empty()) {
       if (in != &g) g = *in;  // the caller's gradient is const: copy it once
       tensor::tail_backward_inplace(g, slot.aux);

@@ -7,6 +7,11 @@
 // recomputed whenever a layer is added or inserted, and every output and
 // gradient is bit-identical to running the layers one by one.
 //
+// The two group loops are the only place layers are timed: each group's
+// forward and backward run inside a "<head>.fwd" / "<head>.bwd" trace span
+// and feed the "<head>.forward_ns" / "<head>.backward_ns" distributions,
+// where <head> is the name of the group's first layer.
+//
 // The model itself is immutable during execution: forward/backward are
 // const and thread on a caller-owned ForwardTape, so any number of threads
 // may run eval-mode forward + non-accumulating backward on one shared
@@ -21,6 +26,10 @@
 
 #include "nn/layer.h"
 #include "nn/tape.h"
+
+namespace con::obs {
+class Distribution;
+}  // namespace con::obs
 
 namespace con::nn {
 
@@ -39,11 +48,15 @@ class Sequential {
   // more than one layer is a Conv2d/Linear (`first`) whose output epilogue
   // computes `tail`, the combined effect of the layers after it; its tape
   // slot keeps the tail's backward mask in `aux`, and the slots of the
-  // layers it absorbed stay empty.
+  // layers it absorbed stay empty. `name` is the first layer's name, and
+  // the two distributions are its wall-time instruments.
   struct Group {
     std::size_t first = 0;
     std::size_t end = 0;
     tensor::OutputTail tail;
+    std::string name;
+    obs::Distribution* forward_ns = nullptr;
+    obs::Distribution* backward_ns = nullptr;
   };
 
   void add(std::unique_ptr<Layer> layer) {
@@ -102,7 +115,8 @@ class Sequential {
   std::string summary() const;
 
  private:
-  // Recomputes groups_ from layers_; every add/insert calls it.
+  // Recomputes groups_ from layers_ and resolves each group's instruments;
+  // every add/insert calls it.
   void regroup();
 
   std::string name_ = "model";

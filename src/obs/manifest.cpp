@@ -53,34 +53,22 @@ Json distributions_json(const MetricsSnapshot& snap) {
             ? 0.0
             : d.sumsq / static_cast<double>(d.count) - mean * mean;
     entry.set("stddev", var > 0.0 ? std::sqrt(var) : 0.0);
-    dists.set(d.name, std::move(entry));
-  }
-  return dists;
-}
-
-Json histograms_json(const MetricsSnapshot& snap) {
-  Json hists = Json::object();
-  for (const auto& h : snap.histograms) {
-    Json entry = Json::object();
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : h.buckets) total += c;
-    entry.set("count", total);
-    entry.set("p50", Histogram::percentile_of(h.buckets, 0.50));
-    entry.set("p90", Histogram::percentile_of(h.buckets, 0.90));
-    entry.set("p99", Histogram::percentile_of(h.buckets, 0.99));
-    entry.set("p999", Histogram::percentile_of(h.buckets, 0.999));
+    entry.set("p50", Distribution::percentile_of(d.buckets, 0.50));
+    entry.set("p90", Distribution::percentile_of(d.buckets, 0.90));
+    entry.set("p99", Distribution::percentile_of(d.buckets, 0.99));
+    entry.set("p999", Distribution::percentile_of(d.buckets, 0.999));
     Json buckets = Json::array();
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
+    for (std::size_t i = 0; i < d.buckets.size(); ++i) {
+      if (d.buckets[i] == 0) continue;
       Json pair = Json::array();
       pair.push_back(static_cast<std::int64_t>(i));
-      pair.push_back(h.buckets[i]);
+      pair.push_back(d.buckets[i]);
       buckets.push_back(std::move(pair));
     }
     entry.set("buckets", std::move(buckets));
-    hists.set(h.name, std::move(entry));
+    dists.set(d.name, std::move(entry));
   }
-  return hists;
+  return dists;
 }
 
 Json manifest_json(const RunManifest& m) {
@@ -117,7 +105,6 @@ Json manifest_json(const RunManifest& m) {
   Json metrics = Json::object();
   metrics.set("counters", counters_json(snap, m.extra_counters));
   metrics.set("distributions", distributions_json(snap));
-  metrics.set("histograms", histograms_json(snap));
   doc.set("metrics", std::move(metrics));
   return doc;
 }

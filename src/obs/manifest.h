@@ -31,8 +31,7 @@ struct RunManifest {
 };
 
 // The manifest as a JSON tree: name, timestamp, git, wall time, threads,
-// config object, trace drop accounting, metrics {counters, distributions,
-// histograms}.
+// config object, trace drop accounting, metrics {counters, distributions}.
 Json manifest_json(const RunManifest& m);
 
 // Section emitters, shared between manifests, the telemetry sampler and the
@@ -42,12 +41,11 @@ Json manifest_json(const RunManifest& m);
 Json counters_json(
     const MetricsSnapshot& snap,
     const std::vector<std::pair<std::string, std::uint64_t>>& extra_counters);
-// Distributions carry count/sum/min/max plus derived mean and stddev (both
-// 0 when empty; stddev is the population form sqrt(E[x²] − E[x]²)).
+// Distributions carry count/sum/min/max, derived mean and stddev (both 0
+// when empty; stddev is the population form sqrt(E[x²] − E[x]²)),
+// p50/p90/p99/p999 upper-bucket-bound percentiles, and the non-zero
+// buckets as [index, count] pairs.
 Json distributions_json(const MetricsSnapshot& snap);
-// Histograms carry total count, p50/p90/p99/p999 upper-bucket-bound
-// percentiles, and the non-zero buckets as [index, count] pairs.
-Json histograms_json(const MetricsSnapshot& snap);
 
 // Writes manifest_json() pretty-printed to <dir>/<name>_manifest.json and
 // returns the path ("" on I/O failure).

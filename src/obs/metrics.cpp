@@ -53,22 +53,38 @@ Distribution::Distribution()
 
 void Distribution::record(double x) {
   if (!metrics_enabled()) return;
-  count_.fetch_add(1, std::memory_order_relaxed);
+  counts_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, x);
   atomic_add(sumsq_, x * x);
   atomic_min(min_, x);
   atomic_max(max_, x);
 }
 
+std::uint64_t Distribution::count() const {
+  std::uint64_t total = 0;
+  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
+  return total;
+}
+
 double Distribution::min() const {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
+  const double m = min_.load(std::memory_order_relaxed);
+  return m == std::numeric_limits<double>::infinity() ? 0.0 : m;
 }
 double Distribution::max() const {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
+  const double m = max_.load(std::memory_order_relaxed);
+  return m == -std::numeric_limits<double>::infinity() ? 0.0 : m;
+}
+
+std::vector<std::uint64_t> Distribution::buckets() const {
+  std::vector<std::uint64_t> out(kBuckets);
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    out[i] = counts_[i].load(std::memory_order_relaxed);
+  }
+  return out;
 }
 
 void Distribution::reset() {
-  count_.store(0, std::memory_order_relaxed);
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   sumsq_.store(0.0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<double>::infinity(),
@@ -77,21 +93,7 @@ void Distribution::reset() {
              std::memory_order_relaxed);
 }
 
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::vector<std::uint64_t> Histogram::buckets() const {
-  std::vector<std::uint64_t> out(kHistogramBuckets);
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::uint64_t Histogram::percentile_of(
+std::uint64_t Distribution::percentile_of(
     const std::vector<std::uint64_t>& buckets, double p) {
   std::uint64_t total = 0;
   for (const std::uint64_t c : buckets) total += c;
@@ -112,49 +114,22 @@ std::uint64_t Histogram::percentile_of(
   return bucket_upper(buckets.size() - 1);
 }
 
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-}
-
-ScopedTimer::ScopedTimer(Distribution* d, Histogram* h) {
+ScopedTimer::ScopedTimer(Distribution& d) {
   if (!metrics_enabled()) return;
-  dist_ = d;
-  hist_ = h;
+  dist_ = &d;
   start_ns_ = now_ns();
 }
 
 ScopedTimer::~ScopedTimer() {
-  if (dist_ == nullptr && hist_ == nullptr) return;
-  const std::uint64_t ns = now_ns() - start_ns_;
-  if (dist_ != nullptr) dist_->record(static_cast<double>(ns) * 1e-9);
-  if (hist_ != nullptr) hist_->record(ns);
-}
-
-Distribution& LazyDist::get(const std::string& name) {
-  Distribution* d = cached_.load(std::memory_order_acquire);
-  if (d == nullptr) {
-    // Racing resolvers agree: the registry hands every thread the same
-    // entry for a given name.
-    d = &MetricsRegistry::instance().distribution(name);
-    cached_.store(d, std::memory_order_release);
+  if (dist_ != nullptr) {
+    dist_->record(static_cast<double>(now_ns() - start_ns_));
   }
-  return *d;
-}
-
-Histogram& LazyHist::get(const std::string& name) {
-  Histogram* h = cached_.load(std::memory_order_acquire);
-  if (h == nullptr) {
-    h = &MetricsRegistry::instance().histogram(name);
-    cached_.store(h, std::memory_order_release);
-  }
-  return *h;
 }
 
 struct MetricsRegistry::Impl {
   mutable std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Distribution>> dists;
-  std::map<std::string, std::unique_ptr<Histogram>> hists;
 };
 
 MetricsRegistry::Impl& MetricsRegistry::impl() const {
@@ -183,14 +158,6 @@ Distribution& MetricsRegistry::distribution(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto& slot = im.hists[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
@@ -201,12 +168,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   snap.distributions.reserve(im.dists.size());
   for (const auto& [name, d] : im.dists) {
-    snap.distributions.push_back(
-        {name, d->count(), d->sum(), d->sum_squares(), d->min(), d->max()});
-  }
-  snap.histograms.reserve(im.hists.size());
-  for (const auto& [name, h] : im.hists) {
-    snap.histograms.push_back({name, h->buckets()});
+    std::vector<std::uint64_t> buckets = d->buckets();
+    std::uint64_t count = 0;
+    for (const std::uint64_t c : buckets) count += c;
+    snap.distributions.push_back({name, count, d->sum(), d->sum_squares(),
+                                  d->min(), d->max(), std::move(buckets)});
   }
   return snap;
 }
@@ -216,7 +182,6 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
   for (auto& [name, d] : im.dists) d->reset();
-  for (auto& [name, h] : im.hists) h->reset();
 }
 
 }  // namespace con::obs

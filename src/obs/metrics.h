@@ -8,7 +8,8 @@
 //   c.add(1);
 //
 // Counters are monotonic u64 totals; distributions accumulate
-// count/sum/min/max of double observations (timings, active-set sizes).
+// count/sum/min/max and log2 buckets of double observations (timings,
+// active-set sizes).
 // Registry entries are created on first use and never removed, so cached
 // references stay valid for the process lifetime; reset_metrics() zeroes
 // values in place for before/after measurements.
@@ -17,9 +18,9 @@
 // attack iteration, per cache miss) total the same for any --threads value,
 // because the work decomposition never depends on the thread count (DESIGN
 // §5). Distributions of integer-valued observations share the property
-// (double sums of small integers are exact in any order); timing
-// distributions obviously do not, and the manifest comparison tooling only
-// compares counters.
+// (bucket counts are integer sums, and double sums of small integers are
+// exact in any order); timing distributions obviously do not, and the
+// manifest comparison tooling only compares counters.
 #pragma once
 
 #include <atomic>
@@ -53,82 +54,63 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+// Count, sum, sum of squares, min, max and a fixed log2-bucket histogram
+// of double observations: the one instrument for timings (whole
+// nanoseconds, see ScopedTimer) and sizes (active-set rows).
+//
+// Bucket i counts observations whose value, rounded to the nearest
+// integer, has bit width i: bucket 0 holds values that round to 0 or
+// below, bucket i (1 <= i < kBuckets-1) holds 2^(i-1) <= v < 2^i, and the
+// last bucket absorbs everything larger, +infinity and NaN. record() is lock-free and
+// allocation-free (relaxed atomics on fixed slots, plus the enabled load),
+// so it is safe inside GEMM panels and attack inner loops. Integer-valued
+// observations keep every field identical for any --threads value: the
+// bucket counts are integer sums and double sums of integers below 2^53
+// are exact in any order, extending the counter determinism contract to
+// shape, not just totals.
 // conlint:lockfree(independent per-field accumulators; snapshots tolerate torn cross-field reads, per-field sums stay exact)
 class Distribution {
  public:
+  static constexpr std::size_t kBuckets = 64;
+
   Distribution();
 
   void record(double x);
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  // Sum of the bucket counts.
+  std::uint64_t count() const;
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   // Sum of squared observations; with count/sum it yields mean and stddev
-  // in snapshots. Exact in any accumulation order for small-integer
-  // observations, like sum (the counter-section determinism contract above
-  // is unaffected: comparisons still only cover counters).
+  // in snapshots.
   double sum_squares() const {
     return sumsq_.load(std::memory_order_relaxed);
   }
   // Min/max of recorded values; 0.0 when nothing was recorded.
   double min() const;
   double max() const;
+  std::uint64_t bucket(std::size_t i) const {
+    return counts_[i].load(std::memory_order_relaxed);
+  }
+  std::vector<std::uint64_t> buckets() const;  // all kBuckets slots
   void reset();
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> sumsq_{0.0};
-  // +/-infinity sentinels until the first observation; the accessors
-  // translate the empty state to 0.0.
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-};
-
-// Fixed-bucket log2-spaced histogram for hot-path latency/size telemetry.
-//
-// Bucket i counts observations v with bucket_index(v) == i: bucket 0 holds
-// v == 0, bucket i (1 <= i < kHistogramBuckets-1) holds
-// 2^(i-1) <= v < 2^i, and the last bucket absorbs everything larger.
-// record() is lock-free and allocation-free — one relaxed fetch_add on a
-// fixed slot (plus the enabled load) — so it is safe inside GEMM panels
-// and attack inner loops. Because bucket counts are exact integer sums,
-// the full bucket vector is byte-identical for any --threads value on
-// integer-valued observations (same multiset of observations, any order),
-// extending the counter determinism contract to shape, not just totals.
-// conlint:lockfree(fixed atomic bucket slots; exact integer sums in any interleaving, readers tolerate in-flight records)
-class Histogram {
- public:
-  static constexpr std::size_t kHistogramBuckets = 64;
-
-  void record(std::uint64_t v) {
-    if (metrics_enabled()) {
-      counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // Double observations are rounded to the nearest integer (negative
-  // values clamp to bucket 0), so integer-valued doubles keep the
-  // determinism contract.
-  void record(double v) {
-    record(v <= 0.0 ? std::uint64_t{0} : static_cast<std::uint64_t>(v + 0.5));
-  }
 
   static std::size_t bucket_index(std::uint64_t v) {
     if (v == 0) return 0;
     const std::size_t w = static_cast<std::size_t>(std::bit_width(v));
-    return w < kHistogramBuckets - 1 ? w : kHistogramBuckets - 1;
+    return w < kBuckets - 1 ? w : kBuckets - 1;
+  }
+  // The bucket of a double observation, defined for every double.
+  static std::size_t bucket_of(double v) {
+    if (v <= 0.0) return 0;
+    if (!(v < 0x1p62)) return kBuckets - 1;  // also NaN
+    return bucket_index(static_cast<std::uint64_t>(v + 0.5));
   }
   // Largest value a bucket can hold (inclusive); the deterministic
   // percentile readout reports this bound.
   static std::uint64_t bucket_upper(std::size_t i) {
     if (i == 0) return 0;
-    if (i >= kHistogramBuckets - 1) return ~std::uint64_t{0};
+    if (i >= kBuckets - 1) return ~std::uint64_t{0};
     return (std::uint64_t{1} << i) - 1;
   }
-
-  std::uint64_t count() const;
-  std::uint64_t bucket(std::size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  std::vector<std::uint64_t> buckets() const;  // all kHistogramBuckets slots
 
   // Upper bucket bound covering the p-quantile (p in (0, 1]); 0 when
   // empty. Deterministic: depends only on the bucket vector.
@@ -138,63 +120,30 @@ class Histogram {
   static std::uint64_t percentile_of(const std::vector<std::uint64_t>& buckets,
                                      double p);
 
-  void reset();
-
  private:
-  std::atomic<std::uint64_t> counts_[kHistogramBuckets] = {};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> sumsq_{0.0};
+  // +/-infinity sentinels until the first observation; the accessors
+  // translate the empty state to 0.0.
+  std::atomic<double> min_;
+  std::atomic<double> max_;
+  std::atomic<std::uint64_t> counts_[kBuckets] = {};
 };
 
-// Scoped wall-time observation: on destruction records seconds into the
-// distribution and/or whole nanoseconds into the histogram (integer-valued,
-// so histogram bucket vectors stay thread-count deterministic only for
-// deterministic workloads — timings are not, and comparisons skip them).
-// Costs nothing but the enabled check when metrics are off.
+// Scoped wall-time observation: on destruction records the elapsed whole
+// nanoseconds into the distribution (integer-valued, but timings are not
+// deterministic, and comparisons skip them). Costs nothing but the enabled
+// check when metrics are off.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Distribution& d) : ScopedTimer(&d, nullptr) {}
-  explicit ScopedTimer(Histogram& h) : ScopedTimer(nullptr, &h) {}
-  ScopedTimer(Distribution& d, Histogram& h) : ScopedTimer(&d, &h) {}
+  explicit ScopedTimer(Distribution& d);
   ~ScopedTimer();
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  ScopedTimer(Distribution* d, Histogram* h);
-
   Distribution* dist_ = nullptr;
-  Histogram* hist_ = nullptr;
   std::uint64_t start_ns_ = 0;
-};
-
-// Lazily-resolved distribution handle for per-instance metric names (e.g. a
-// layer's "<name>.forward_s"). Copyable: copies reset the cached pointer,
-// and since registry entries are keyed by name, a clone resolving the same
-// name lands on the same distribution.
-// conlint:lockfree(pointer cache over idempotent name lookup; racing fills resolve to the same registry entry)
-class LazyDist {
- public:
-  LazyDist() = default;
-  LazyDist(const LazyDist&) {}
-  LazyDist& operator=(const LazyDist&) { return *this; }
-
-  Distribution& get(const std::string& name);
-
- private:
-  std::atomic<Distribution*> cached_{nullptr};
-};
-
-// Lazily-resolved histogram handle, same contract as LazyDist.
-// conlint:lockfree(pointer cache over idempotent name lookup; racing fills resolve to the same registry entry)
-class LazyHist {
- public:
-  LazyHist() = default;
-  LazyHist(const LazyHist&) {}
-  LazyHist& operator=(const LazyHist&) { return *this; }
-
-  Histogram& get(const std::string& name);
-
- private:
-  std::atomic<Histogram*> cached_{nullptr};
 };
 
 struct MetricsSnapshot {
@@ -205,16 +154,12 @@ struct MetricsSnapshot {
     double sumsq = 0.0;
     double min = 0.0;
     double max = 0.0;
-  };
-  struct HistValue {
-    std::string name;
-    // All kHistogramBuckets slots, in bucket order.
+    // All Distribution::kBuckets slots, in bucket order.
     std::vector<std::uint64_t> buckets;
   };
   // Sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<DistValue> distributions;
-  std::vector<HistValue> histograms;
 };
 
 class MetricsRegistry {
@@ -224,7 +169,6 @@ class MetricsRegistry {
   // Stable references, created on first use. Safe from any thread.
   Counter& counter(const std::string& name);
   Distribution& distribution(const std::string& name);
-  Histogram& histogram(const std::string& name);
 
   MetricsSnapshot snapshot() const;
   // Zero every registered value in place (entries and cached references
@@ -243,9 +187,6 @@ inline Counter& counter(const std::string& name) {
 }
 inline Distribution& dist(const std::string& name) {
   return MetricsRegistry::instance().distribution(name);
-}
-inline Histogram& histogram(const std::string& name) {
-  return MetricsRegistry::instance().histogram(name);
 }
 inline MetricsSnapshot snapshot_metrics() {
   return MetricsRegistry::instance().snapshot();

@@ -82,7 +82,7 @@ void Sampler::finish(
 
   // The final record: full counter totals (identical bytes to the run
   // manifest's metrics.counters for the same snapshot + extras), plus the
-  // distribution and histogram sections and trace drop count.
+  // distribution section and trace drop count.
   const MetricsSnapshot snap = snapshot_metrics();
   Json rec = Json::object();
   rec.set("seq", static_cast<std::int64_t>(seq_));
@@ -91,7 +91,6 @@ void Sampler::finish(
   rec.set("phase", current_phase());
   rec.set("counters", counters_json(snap, extra_counters));
   rec.set("distributions", distributions_json(snap));
-  rec.set("histograms", histograms_json(snap));
   rec.set("trace_dropped", trace_dropped_count());
   write_line(rec.dump());
   ++seq_;

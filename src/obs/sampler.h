@@ -7,8 +7,7 @@
 //
 //   periodic  {"seq":N,"elapsed_s":T,"phase":"...","counters_delta":{...}}
 //   final     {"seq":N,"final":true,"elapsed_s":T,"phase":"...",
-//              "counters":{...},"distributions":{...},"histograms":{...},
-//              "trace_dropped":D}
+//              "counters":{...},"distributions":{...},"trace_dropped":D}
 //
 // Sequence numbers are monotonic from 0 with no gaps. Periodic records
 // carry delta-since-last-sample counter encoding (only counters that moved

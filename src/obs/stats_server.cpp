@@ -69,7 +69,6 @@ std::string StatsServer::snapshot_response(const Info& info) {
   Json metrics = Json::object();
   metrics.set("counters", counters_json(snap, {}));
   metrics.set("distributions", distributions_json(snap));
-  metrics.set("histograms", histograms_json(snap));
   doc.set("metrics", std::move(metrics));
   return doc.dump(/*indent=*/2) + "\n";
 }

@@ -673,9 +673,9 @@ void panel_loop(const kernels::KernelTable& kt, const PackedA& a,
   constexpr Index NR = Tile::kNR;
   const Index m = a.rows;
   const Index ntasks = (n + width - 1) / width;
-  static obs::Histogram& panel_hist = obs::histogram("gemm.panel_ns");
+  static obs::Distribution& panel_time = obs::dist("gemm.panel_ns");
   util::parallel_for(0, static_cast<std::size_t>(ntasks), [&](std::size_t t) {
-    obs::ScopedTimer panel_timer(panel_hist);
+    obs::ScopedTimer panel_timer(panel_time);
     const Index o0 = static_cast<Index>(t) * width;
     const Index on = std::min(width, n - o0);
     const Index j0 = o0 / NR * NR;
@@ -728,7 +728,7 @@ void gemm_blocked(const PackedMatrix& a, BSource b, Index n, float* c,
   if (std::is_same_v<Tile, NtTile> && b.conv != nullptr) {
     // The weight gradient: one task per kStripB column strip, over every A
     // strip, with its double tiles carried across the depth chunks.
-    static obs::Histogram& panel_hist = obs::histogram("gemm.panel_ns");
+    static obs::Distribution& panel_time = obs::dist("gemm.panel_ns");
     constexpr Index MR = kStripANt;
     const Index nas = a.num_strips();
     const Index nbs = (n + kStripB - 1) / kStripB;
@@ -736,7 +736,7 @@ void gemm_blocked(const PackedMatrix& a, BSource b, Index n, float* c,
     const Index plane = b.conv->g.out_h() * b.conv->g.out_w();
     const Index kc = std::max<Index>(1, kDepthChunk / plane) * plane;
     util::parallel_for(0, static_cast<std::size_t>(nbs), [&](std::size_t t) {
-      obs::ScopedTimer panel_timer(panel_hist);
+      obs::ScopedTimer panel_timer(panel_time);
       const Index j0 = static_cast<Index>(t) * kStripB;
       const Index jn = std::min<Index>(kStripB, n - j0);
       auto& sc = panel_scratch<float, float>();

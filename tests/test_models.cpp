@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "models/model_zoo.h"
 #include "nn/trainer.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "test_helpers.h"
 
 namespace con::models {
@@ -78,6 +83,70 @@ TEST(ModelZoo, ParameterNamesAreUnique) {
   for (nn::Parameter* p : m.parameters()) {
     EXPECT_TRUE(names.insert(p->name).second) << "duplicate " << p->name;
   }
+}
+
+// Sequential's two group loops are the only timing site: one train-mode
+// forward and one backward of LeNet5 record each group head exactly once,
+// ReLUs fused into a Conv2d/Linear get no instrument of their own, and
+// each group's span nests inside the model's.
+TEST(SequentialTiming, EveryGroupIsTimedExactlyOnce) {
+  const auto count_of =
+      [](const std::string& name) -> std::optional<std::uint64_t> {
+    for (const auto& d : obs::snapshot_metrics().distributions) {
+      if (d.name == name) return d.count;
+    }
+    return std::nullopt;
+  };
+  // Run alone (as ctest runs it), the process has registered no relu1
+  // instrument; in a whole-suite run another suite's unfused relu1 may
+  // have.
+  const bool relu1_known = count_of("relu1.forward_ns").has_value();
+  nn::Sequential m = make_lenet5(3);
+  obs::reset_metrics();
+  obs::clear_trace();
+  obs::set_tracing(true);
+  nn::ForwardTape tape(/*accumulate_param_grads=*/true);
+  const tensor::Tensor y =
+      m.forward(random_batch(Shape{2, 1, 28, 28}, 4), /*train=*/true, tape);
+  (void)m.backward(random_batch(y.shape(), 5), tape);
+  obs::set_tracing(false);
+
+  for (const char* name :
+       {"pool1.forward_ns", "pool2.forward_ns", "flatten.forward_ns",
+        "conv1.forward_ns", "conv1.backward_ns", "fc1.forward_ns",
+        "fc1.backward_ns", "pool1.backward_ns"}) {
+    EXPECT_EQ(count_of(name), std::optional<std::uint64_t>(1)) << name;
+  }
+  // relu1 runs in conv1's epilogue: no instrument of its own.
+  if (!relu1_known) {
+    EXPECT_EQ(count_of("relu1.forward_ns"), std::nullopt);
+    EXPECT_EQ(count_of("relu1.backward_ns"), std::nullopt);
+  }
+  EXPECT_EQ(count_of("relu1.forward_ns").value_or(0), 0u);
+  EXPECT_EQ(count_of("relu1.backward_ns").value_or(0), 0u);
+
+  const obs::Json trace = obs::parse_json(obs::chrome_trace_json());
+  obs::clear_trace();
+  const obs::Json* model_span = nullptr;
+  const obs::Json* pool_span = nullptr;
+  for (const obs::Json& e : trace.find("traceEvents")->items()) {
+    if (e.find("ph")->as_string() != "X" ||
+        e.find("tid")->as_int() != obs::this_thread_id()) {
+      continue;
+    }
+    const std::string& name = e.find("name")->as_string();
+    if (name == m.name() + ".forward") model_span = &e;
+    if (name == "pool1.fwd") pool_span = &e;
+  }
+  ASSERT_NE(model_span, nullptr);
+  ASSERT_NE(pool_span, nullptr);
+  const double outer_ts = model_span->find("ts")->as_double();
+  const double inner_ts = pool_span->find("ts")->as_double();
+  EXPECT_GE(inner_ts, outer_ts);
+  EXPECT_LE(inner_ts + pool_span->find("dur")->as_double(),
+            outer_ts + model_span->find("dur")->as_double());
+  EXPECT_GT(pool_span->find("args")->find("depth")->as_int(),
+            model_span->find("args")->find("depth")->as_int());
 }
 
 }  // namespace

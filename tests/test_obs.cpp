@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -292,15 +293,6 @@ TEST(ObsMetrics, ParallelForCountsAreExact) {
   EXPECT_EQ(d.max(), 6.0);
 }
 
-TEST(ObsMetrics, LazyDistResolvesOnceAndSurvivesCopy) {
-  con::obs::reset_metrics();
-  con::obs::LazyDist lazy;
-  lazy.get("obs_test.lazy").record(1.0);
-  con::obs::LazyDist copy = lazy;  // copy resets the cached pointer
-  copy.get("obs_test.lazy").record(2.0);
-  EXPECT_EQ(con::obs::dist("obs_test.lazy").count(), 2u);
-}
-
 // ---- JSON -------------------------------------------------------------------
 
 TEST(ObsJson, RoundTripsScalarsExactly) {
@@ -413,103 +405,134 @@ TEST(ObsManifest, WritesAndParsesBack) {
   EXPECT_EQ(d->find("sum")->as_double(), 1.5);
 }
 
-// ---- histograms -------------------------------------------------------------
+// ---- distribution buckets ---------------------------------------------------
 
-TEST(ObsHistogram, BucketIndexAndBoundsPartitionTheRange) {
-  using con::obs::Histogram;
-  EXPECT_EQ(Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(Histogram::bucket_index(7), 3u);
-  EXPECT_EQ(Histogram::bucket_index(8), 4u);
+TEST(ObsDistribution, BucketIndexAndBoundsPartitionTheRange) {
+  using con::obs::Distribution;
+  constexpr std::size_t kLast = Distribution::kBuckets - 1;
+  EXPECT_EQ(Distribution::bucket_index(0), 0u);
+  EXPECT_EQ(Distribution::bucket_index(1), 1u);
+  EXPECT_EQ(Distribution::bucket_index(2), 2u);
+  EXPECT_EQ(Distribution::bucket_index(3), 2u);
+  EXPECT_EQ(Distribution::bucket_index(4), 3u);
+  EXPECT_EQ(Distribution::bucket_index(7), 3u);
+  EXPECT_EQ(Distribution::bucket_index(8), 4u);
   // The last bucket absorbs everything past 2^62.
-  EXPECT_EQ(Histogram::bucket_index(std::uint64_t{1} << 62),
-            Histogram::kHistogramBuckets - 1);
-  EXPECT_EQ(Histogram::bucket_index(~std::uint64_t{0}),
-            Histogram::kHistogramBuckets - 1);
-  EXPECT_EQ(Histogram::bucket_upper(0), 0u);
-  EXPECT_EQ(Histogram::bucket_upper(1), 1u);
-  EXPECT_EQ(Histogram::bucket_upper(2), 3u);
-  EXPECT_EQ(Histogram::bucket_upper(3), 7u);
-  EXPECT_EQ(Histogram::bucket_upper(Histogram::kHistogramBuckets - 1),
-            ~std::uint64_t{0});
+  EXPECT_EQ(Distribution::bucket_index(std::uint64_t{1} << 62), kLast);
+  EXPECT_EQ(Distribution::bucket_index(~std::uint64_t{0}), kLast);
+  EXPECT_EQ(Distribution::bucket_upper(0), 0u);
+  EXPECT_EQ(Distribution::bucket_upper(1), 1u);
+  EXPECT_EQ(Distribution::bucket_upper(2), 3u);
+  EXPECT_EQ(Distribution::bucket_upper(3), 7u);
+  EXPECT_EQ(Distribution::bucket_upper(kLast), ~std::uint64_t{0});
   // Every value lands in the bucket whose bounds contain it.
   for (std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 100ull, 65535ull,
                           (1ull << 40) + 17ull}) {
-    const std::size_t i = Histogram::bucket_index(v);
-    EXPECT_LE(v, Histogram::bucket_upper(i));
+    const std::size_t i = Distribution::bucket_index(v);
+    EXPECT_LE(v, Distribution::bucket_upper(i));
     if (i > 0) {
-      EXPECT_GT(v, Histogram::bucket_upper(i - 1));
+      EXPECT_GT(v, Distribution::bucket_upper(i - 1));
     }
   }
+  // Every double has a bucket: non-positive values go to bucket 0, values
+  // past the integer range, infinity and NaN to the last one, and the rest
+  // round to the nearest integer.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {0.0, -0.0, -1.0, -1e300, -inf, 0.4}) {
+    EXPECT_EQ(Distribution::bucket_of(v), 0u) << v;
+  }
+  for (const double v : {0x1p62, 0x1p64, 1e300, inf, nan, -nan}) {
+    EXPECT_EQ(Distribution::bucket_of(v), kLast) << v;
+  }
+  EXPECT_EQ(Distribution::bucket_of(0.5), 1u);
+  EXPECT_EQ(Distribution::bucket_of(2.6), 2u);
+  EXPECT_EQ(Distribution::bucket_of(0x1p62 - 1024.0), kLast - 1);
+  // The same inputs through record(): one count per observation.
+  con::obs::Distribution& d = con::obs::dist("obs_test.bucket_edges");
+  d.reset();
+  for (const double v : {-inf, -1.0, 0.0, nan, inf, 0x1p64}) d.record(v);
+  EXPECT_EQ(d.bucket(0), 3u);
+  EXPECT_EQ(d.bucket(kLast), 3u);
+  EXPECT_EQ(d.count(), 6u);
 }
 
-TEST(ObsHistogram, PercentilesReadInclusiveBucketUpperBounds) {
+TEST(ObsDistribution, PercentilesReadInclusiveBucketUpperBounds) {
   con::obs::reset_metrics();
-  con::obs::Histogram& h = con::obs::histogram("obs_test.hist_pct");
-  EXPECT_EQ(h.percentile(0.5), 0u);  // empty reads as 0
-  h.record(std::uint64_t{0});
-  h.record(std::uint64_t{1});
-  h.record(std::uint64_t{5});
-  h.record(std::uint64_t{5});  // bucket 3: [4, 7]
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.percentile(0.25), 0u);
-  EXPECT_EQ(h.percentile(0.5), 1u);
-  EXPECT_EQ(h.percentile(0.75), 7u);
-  EXPECT_EQ(h.percentile(0.99), 7u);
-  EXPECT_EQ(h.percentile(1.0), 7u);
-  // Double observations round to the nearest integer; negatives clamp to 0.
-  h.record(2.6);
-  EXPECT_EQ(h.bucket(2), 1u);
-  h.record(-3.0);
-  EXPECT_EQ(h.bucket(0), 2u);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
+  con::obs::Distribution& d = con::obs::dist("obs_test.hist_pct");
+  EXPECT_EQ(d.percentile(0.5), 0u);  // empty reads as 0
+  d.record(0.0);
+  d.record(1.0);
+  d.record(5.0);
+  d.record(5.0);  // bucket 3: [4, 7]
+  EXPECT_EQ(d.count(), 4u);
+  EXPECT_EQ(d.percentile(0.25), 0u);
+  EXPECT_EQ(d.percentile(0.5), 1u);
+  EXPECT_EQ(d.percentile(0.75), 7u);
+  EXPECT_EQ(d.percentile(0.99), 7u);
+  EXPECT_EQ(d.percentile(1.0), 7u);
+  // Observations round to the nearest integer; negatives clamp to 0.
+  d.record(2.6);
+  EXPECT_EQ(d.bucket(2), 1u);
+  d.record(-3.0);
+  EXPECT_EQ(d.bucket(0), 2u);
+  d.reset();
+  EXPECT_EQ(d.count(), 0u);
 }
 
-TEST(ObsHistogram, RecordIsAllocationAndLockFree) {
-  con::obs::Histogram& h = con::obs::histogram("obs_test.hist_alloc");
-  // The per-bucket counters must be lock-free atomics for the hot-path
+TEST(ObsDistribution, RecordIsAllocationAndLockFree) {
+  con::obs::Distribution& d = con::obs::dist("obs_test.hist_alloc");
+  // The per-field accumulators must be lock-free atomics for the hot-path
   // claim to hold at all.
-  std::atomic<std::uint64_t> probe{0};
-  EXPECT_TRUE(probe.is_lock_free());
+  std::atomic<std::uint64_t> count_probe{0};
+  std::atomic<double> sum_probe{0.0};
+  EXPECT_TRUE(count_probe.is_lock_free());
+  EXPECT_TRUE(sum_probe.is_lock_free());
   const std::uint64_t before = allocation_count();
   for (int i = 0; i < 1000; ++i) {
-    h.record(static_cast<std::uint64_t>(i));
-    h.record(static_cast<double>(i) + 0.25);
+    d.record(static_cast<double>(i));
+    d.record(static_cast<double>(i) + 0.25);
   }
   EXPECT_EQ(allocation_count() - before, 0u);
 }
 
-// The tentpole determinism claim: for a fixed multiset of integer
-// observations, the bucket vector is identical however the observations are
-// partitioned across threads. Raw std::threads (not the global pool — its
-// size is process-wide and already pinned by other suites) at 1/4/8.
-TEST(ObsHistogram, BucketsAreIdenticalForAnyThreadCount) {
+// The determinism claim: for a fixed multiset of integer observations,
+// every field (count, sum, sum of squares, min, max and the bucket vector)
+// is identical however the observations are partitioned across threads.
+// Raw std::threads (not the global pool — its size is process-wide and
+// already pinned by other suites) at 1/4/8.
+TEST(ObsDistribution, BucketsAreIdenticalForAnyThreadCount) {
   con::obs::reset_metrics();
   const std::size_t n = 20000;
   const auto observation = [](std::size_t i) {
-    return static_cast<std::uint64_t>((i * i + 3 * i) % 100003);
+    return static_cast<double>((i * i + 3 * i) % 100003);
   };
-  std::vector<std::vector<std::uint64_t>> results;
+  struct Fields {
+    std::uint64_t count;
+    double sum, sumsq, min, max;
+    std::vector<std::uint64_t> buckets;
+    bool operator==(const Fields&) const = default;
+  };
+  std::vector<Fields> results;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                     std::size_t{8}}) {
-    con::obs::Histogram& h = con::obs::histogram(
+    con::obs::Distribution& d = con::obs::dist(
         "obs_test.hist_threads_" + std::to_string(threads));
     std::vector<std::thread> workers;
     for (std::size_t t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
-        for (std::size_t i = t; i < n; i += threads) h.record(observation(i));
+        for (std::size_t i = t; i < n; i += threads) d.record(observation(i));
       });
     }
     for (std::thread& w : workers) w.join();
-    EXPECT_EQ(h.count(), n);
-    results.push_back(h.buckets());
+    EXPECT_EQ(d.count(), n);
+    results.push_back(
+        {d.count(), d.sum(), d.sum_squares(), d.min(), d.max(), d.buckets()});
   }
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
+  EXPECT_TRUE(results[0] == results[1]);
+  EXPECT_TRUE(results[0] == results[2]);
+  EXPECT_EQ(results[0].min, 0.0);
+  EXPECT_GT(results[0].max, 0.0);
 }
 
 TEST(ObsMetrics, DistributionTracksSumOfSquares) {
@@ -521,25 +544,6 @@ TEST(ObsMetrics, DistributionTracksSumOfSquares) {
   EXPECT_EQ(d.sum_squares(), 14.0);
   con::obs::reset_metrics();
   EXPECT_EQ(d.sum_squares(), 0.0);
-}
-
-TEST(ObsMetrics, LazyHistResolvesOnceAndSurvivesCopy) {
-  con::obs::reset_metrics();
-  con::obs::LazyHist lazy;
-  lazy.get("obs_test.lazy_hist").record(std::uint64_t{1});
-  con::obs::LazyHist copy = lazy;  // copy resets the cached pointer
-  copy.get("obs_test.lazy_hist").record(std::uint64_t{2});
-  EXPECT_EQ(con::obs::histogram("obs_test.lazy_hist").count(), 2u);
-}
-
-TEST(ObsMetrics, ScopedTimerFeedsDistributionAndHistogramTogether) {
-  con::obs::reset_metrics();
-  con::obs::Distribution& d = con::obs::dist("obs_test.timer_pair");
-  con::obs::Histogram& h = con::obs::histogram("obs_test.timer_pair_ns");
-  { con::obs::ScopedTimer t(d, h); }
-  { con::obs::ScopedTimer t(h); }
-  EXPECT_EQ(d.count(), 1u);
-  EXPECT_EQ(h.count(), 2u);
 }
 
 // ---- manifest sections ------------------------------------------------------
@@ -557,15 +561,15 @@ TEST(ObsManifest, DistributionsCarryMeanAndStddev) {
   EXPECT_EQ(entry->find("stddev")->as_double(), 1.0);
 }
 
-TEST(ObsManifest, HistogramsSectionListsNonZeroBuckets) {
+TEST(ObsManifest, DistributionsListNonZeroBuckets) {
   con::obs::reset_metrics();
-  con::obs::Histogram& h = con::obs::histogram("obs_test.hist_manifest");
-  h.record(std::uint64_t{0});
-  h.record(std::uint64_t{1});
-  h.record(std::uint64_t{1});
-  h.record(std::uint64_t{8});  // bucket 4
-  const Json hists = con::obs::histograms_json(con::obs::snapshot_metrics());
-  const Json* entry = hists.find("obs_test.hist_manifest");
+  con::obs::Distribution& d = con::obs::dist("obs_test.hist_manifest");
+  d.record(0.0);
+  d.record(1.0);
+  d.record(1.0);
+  d.record(8.0);  // bucket 4
+  const Json dists = con::obs::distributions_json(con::obs::snapshot_metrics());
+  const Json* entry = dists.find("obs_test.hist_manifest");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->find("count")->as_int(), 4);
   EXPECT_EQ(entry->find("p50")->as_int(), 1);
@@ -703,7 +707,6 @@ TEST(ObsSampler, StreamsDeltasAndFinalSnapshotMatchesManifestBytes) {
       con::obs::counters_json(con::obs::snapshot_metrics(), extras).dump();
   EXPECT_EQ(final_rec.find("counters")->dump(), manifest_bytes);
   ASSERT_NE(final_rec.find("distributions"), nullptr);
-  ASSERT_NE(final_rec.find("histograms"), nullptr);
   ASSERT_NE(final_rec.find("trace_dropped"), nullptr);
 }
 
@@ -752,7 +755,6 @@ TEST(ObsStatsServer, ServesOneJsonSnapshotPerConnection) {
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->find("obs_test.stats_counter")->as_int(), 11);
   ASSERT_NE(doc.find("metrics")->find("distributions"), nullptr);
-  ASSERT_NE(doc.find("metrics")->find("histograms"), nullptr);
   // Wait until the serve loop has accounted the request (the client sees
   // EOF slightly before the server increments), then stop: the socket must
   // be unlinked and refuse further connections.

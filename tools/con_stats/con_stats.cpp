@@ -57,7 +57,7 @@ void validate_snapshot(const con::obs::Json& doc) {
       throw std::runtime_error(std::string("snapshot missing key ") + key);
     }
   }
-  for (const char* key : {"counters", "distributions", "histograms"}) {
+  for (const char* key : {"counters", "distributions"}) {
     if (doc.find("metrics")->find(key) == nullptr) {
       throw std::runtime_error(std::string("snapshot missing metrics.") + key);
     }
