@@ -155,10 +155,10 @@ BENCHMARK_CAPTURE(BM_DeepFoolBatched, cifarnet_degraded,
     ->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
-// --manifest, --no-metrics) must be stripped from argv before
-// benchmark::Initialize rejects them as unknown.
+// --manifest, --no-metrics, ...) are parsed out of argv before
+// benchmark::Initialize sees it.
 int main(int argc, char** argv) {
-  con::bench::BenchSetup setup = con::bench::strip_obs_flags(argc, argv);
+  con::bench::BenchSetup setup = con::bench::parse_benchmark_flags(argc, argv);
   register_fast_gradient_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,21 +1,27 @@
-// Shared plumbing for the figure-reproduction benches.
+// Shared plumbing for the figure driver (bench_figures), the
+// google-benchmark suites and the examples.
 //
-// Every bench accepts the same sizing flags so the default `for b in
-// build/bench/*` loop finishes in minutes on one CPU core (small model
+// Every figure accepts the same sizing flags, so the default
+// `bench_figures` run finishes in minutes on one CPU core (small model
 // variants, reduced grids) while `--network lenet5 --paper-scale` runs the
 // full configuration. Trained baselines, compressed variants and transfer
 // cells live in the content-addressed artifact store (--store DIR,
-// default <artifacts>/store) and are shared across benches via core::Study.
+// default <artifacts>/store) and are shared across figures via core::Study.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "attacks/params.h"
 #include "core/study.h"
 #include "io/checkpoint.h"
 #include "obs/manifest.h"
@@ -32,10 +38,25 @@
 
 namespace con::bench {
 
+// The sweep flags only some figures read. An unset optional means "the
+// figure's own default", which may depend on --paper-scale.
+struct FigureFlags {
+  std::optional<std::vector<double>> densities;  // --densities 1.0,0.3
+  std::vector<attacks::AttackKind> attacks = {   // --attacks ifgsm,ifgm
+      attacks::AttackKind::kIfgsm, attacks::AttackKind::kIfgm,
+      attacks::AttackKind::kDeepFool};
+  std::optional<std::vector<int>> bitwidths;  // --bitwidths 4,8,16,32
+  bool one_shot = false;                      // --pruner dns|oneshot
+  bool act_quant = true;                      // --act-quant/--no-act-quant
+  std::optional<bool> both_networks;          // --[no-]both-networks
+};
+
 struct BenchSetup {
   core::StudyConfig study;
   bool paper_scale = false;
-  bool epochs_explicit = false;  // --epochs was given on the command line
+  bool network_explicit = false;  // --network was given on the command line
+  bool epochs_explicit = false;   // --epochs was given on the command line
+  FigureFlags figure;
   // Observability flags (see DESIGN.md §6): --trace <path> enables span
   // recording and exports a Chrome trace on finish_run(); --manifest writes
   // artifacts/<name>_manifest.json; --no-metrics turns counter updates into
@@ -45,31 +66,15 @@ struct BenchSetup {
   std::string trace_path;
   bool write_manifest = false;
   std::string telemetry_path;
-  int telemetry_interval_ms = 200;
-  std::string stats_socket_path;
-  // Live telemetry machinery, started by the parse helpers and quiesced by
-  // finish_run(). unique_ptr members make BenchSetup move-only, which every
-  // call site already respects.
+  // Live telemetry machinery, started by parse_obs_flags and quiesced by
+  // finish_run(); both warn and disable themselves on an I/O failure
+  // rather than failing the run. unique_ptr members make BenchSetup
+  // move-only, which every call site already respects.
   std::unique_ptr<obs::Sampler> sampler;
   std::unique_ptr<obs::StatsServer> stats_server;
   obs::RunManifest run;
   util::Timer run_timer;
 };
-
-// Start the sampler thread and the stats socket from the parsed flag
-// values. Idempotent per setup; both subsystems warn-and-disable on I/O
-// failure rather than failing the run.
-inline void start_telemetry(BenchSetup& setup) {
-  if (!setup.telemetry_path.empty() && !setup.sampler) {
-    setup.sampler = std::make_unique<obs::Sampler>(obs::Sampler::Options{
-        setup.telemetry_path, setup.telemetry_interval_ms});
-  }
-  if (!setup.stats_socket_path.empty() && !setup.stats_server) {
-    setup.stats_server = std::make_unique<obs::StatsServer>(
-        setup.stats_socket_path,
-        obs::StatsServer::Info{"", util::ThreadPool::global().size()});
-  }
-}
 
 // Parse only the observability flags (--trace <path>, --manifest,
 // --no-metrics, --telemetry <path>, --telemetry-interval <ms>,
@@ -83,18 +88,18 @@ inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
   // CliFlags parses `--no-metrics` as the negation of `--metrics`.
   obs::set_metrics(flags.get_bool("metrics", true));
   setup.telemetry_path = flags.get_string("telemetry", "");
-  setup.telemetry_interval_ms = static_cast<int>(
-      flags.get_int("telemetry-interval", setup.telemetry_interval_ms));
-  if (setup.telemetry_interval_ms <= 0) {
+  const int interval_ms =
+      static_cast<int>(flags.get_int("telemetry-interval", 200));
+  if (interval_ms <= 0) {
     throw std::invalid_argument(
         "--telemetry-interval: expected a positive millisecond count, got " +
-        std::to_string(setup.telemetry_interval_ms));
+        std::to_string(interval_ms));
   }
   if (flags.has("telemetry-interval") && setup.telemetry_path.empty()) {
     throw std::invalid_argument(
         "--telemetry-interval: meaningless without --telemetry <path>");
   }
-  setup.stats_socket_path = flags.get_string("stats-socket", "");
+  const std::string stats_socket = flags.get_string("stats-socket", "");
   // --kernel forces the micro-kernel ISA (overriding $CON_KERNEL); a typo
   // throws here, while an ISA this host cannot run warns and falls back to
   // scalar inside set_isa (the graceful-fallback contract).
@@ -104,7 +109,15 @@ inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
   }
   if (!setup.trace_path.empty()) obs::set_tracing(true);
   obs::set_thread_name("main");
-  start_telemetry(setup);
+  if (!setup.telemetry_path.empty()) {
+    setup.sampler = std::make_unique<obs::Sampler>(
+        obs::Sampler::Options{setup.telemetry_path, interval_ms});
+  }
+  if (!stats_socket.empty()) {
+    setup.stats_server = std::make_unique<obs::StatsServer>(
+        stats_socket,
+        obs::StatsServer::Info{"", util::ThreadPool::global().size()});
+  }
   return setup;
 }
 
@@ -113,52 +126,124 @@ inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
 inline void record_study_config(BenchSetup& setup,
                                 const core::StudyConfig& cfg) {
   setup.run.config.emplace_back("network", obs::Json(cfg.network));
-  setup.run.config.emplace_back(
-      "train_size", obs::Json(static_cast<std::int64_t>(cfg.train_size)));
-  setup.run.config.emplace_back(
-      "test_size", obs::Json(static_cast<std::int64_t>(cfg.test_size)));
-  setup.run.config.emplace_back(
-      "attack_size", obs::Json(static_cast<std::int64_t>(cfg.attack_size)));
-  setup.run.config.emplace_back(
-      "epochs", obs::Json(static_cast<std::int64_t>(cfg.baseline_epochs)));
-  setup.run.config.emplace_back(
-      "finetune_epochs",
-      obs::Json(static_cast<std::int64_t>(cfg.finetune.epochs)));
-  setup.run.config.emplace_back(
-      "batch_size", obs::Json(static_cast<std::int64_t>(cfg.batch_size)));
-  setup.run.config.emplace_back(
-      "seed", obs::Json(static_cast<std::int64_t>(cfg.seed)));
+  const std::pair<const char*, std::int64_t> sizes[] = {
+      {"train_size", cfg.train_size},
+      {"test_size", cfg.test_size},
+      {"attack_size", cfg.attack_size},
+      {"epochs", cfg.baseline_epochs},
+      {"finetune_epochs", cfg.finetune.epochs},
+      {"batch_size", cfg.batch_size},
+      {"seed", static_cast<std::int64_t>(cfg.seed)}};
+  for (const auto& [key, value] : sizes) {
+    setup.run.config.emplace_back(key, obs::Json(value));
+  }
+}
+
+// The baseline epoch budget when --epochs is not given: CifarNet-class
+// networks get more passes than LeNet5-class ones.
+inline int default_epochs(bool paper_scale, const std::string& network) {
+  const bool cifar = network.rfind("cifarnet", 0) == 0;
+  return paper_scale ? (cifar ? 30 : 20) : (cifar ? 16 : 6);
+}
+
+inline std::vector<std::string> split_list(const std::string& s) {
+  std::vector<std::string> out;
+  std::stringstream ss(s);
+  std::string item;
+  while (std::getline(ss, item, ',')) out.push_back(item);
+  return out;
+}
+
+// Each item of a numeric list flag, read whole: "4x" or "" throws, naming
+// the flag.
+template <typename T>
+std::vector<T> parse_numbers(const char* name,
+                             const std::vector<std::string>& items) {
+  std::vector<T> out;
+  for (const std::string& item : items) {
+    std::size_t used = 0;
+    try {
+      out.push_back(static_cast<T>(std::is_integral_v<T>
+                                       ? std::stoi(item, &used)
+                                       : std::stod(item, &used)));
+    } catch (const std::logic_error&) {
+      used = 0;
+    }
+    if (used == 0 || used != item.size()) {
+      throw std::invalid_argument(std::string("--") + name +
+                                  ": not a number: '" + item + "'");
+    }
+  }
+  return out;
+}
+
+// Read the sweep flags named in `reads`; any other one stays unused, so
+// check_unused() rejects it before a figure starts.
+inline FigureFlags parse_figure_flags(util::CliFlags& flags,
+                                      const std::set<std::string>& reads) {
+  FigureFlags f;
+  const auto list =
+      [&](const char* name) -> std::optional<std::vector<std::string>> {
+    if (reads.count(name) == 0 || !flags.has(name)) return std::nullopt;
+    std::vector<std::string> items = split_list(flags.get_string(name, ""));
+    if (items.empty()) {
+      throw std::invalid_argument(std::string("--") + name +
+                                  ": expected a comma-separated list");
+    }
+    return items;
+  };
+  if (const auto items = list("densities")) {
+    f.densities = parse_numbers<double>("densities", *items);
+  }
+  if (const auto items = list("bitwidths")) {
+    f.bitwidths = parse_numbers<int>("bitwidths", *items);
+  }
+  if (const auto items = list("attacks")) {
+    f.attacks.clear();
+    for (const std::string& a : *items) {
+      f.attacks.push_back(attacks::attack_from_name(a));
+    }
+  }
+  if (reads.count("pruner")) {
+    const std::string pruner = flags.get_string("pruner", "dns");
+    if (pruner != "dns" && pruner != "oneshot") {
+      throw std::invalid_argument("--pruner: expected dns or oneshot, got " +
+                                  pruner);
+    }
+    f.one_shot = pruner == "oneshot";
+  }
+  if (reads.count("act-quant")) {
+    f.act_quant = flags.get_bool("act-quant", true);
+  }
+  if (reads.count("both-networks") && flags.has("both-networks")) {
+    f.both_networks = flags.get_bool("both-networks", false);
+  }
+  return f;
 }
 
 // Parse the common flags: --network, --train-size, --test-size,
 // --attack-size, --epochs, --finetune-epochs, --paper-scale, --seed,
-// --threads (0 = hardware concurrency; results are identical for any
-// value, only wall-clock changes), plus the observability flags --trace,
-// --manifest and --no-metrics.
+// --store, --threads (0 = hardware concurrency; results are identical for
+// any value, only wall-clock changes), the observability flags, and the
+// sweep flags named in `figure_flags` (see parse_figure_flags).
 inline BenchSetup parse_common(util::CliFlags& flags,
                                const std::string& default_network =
-                                   "lenet5-small") {
+                                   "lenet5-small",
+                               const std::set<std::string>& figure_flags = {}) {
   util::ThreadPool::set_global_threads(
       static_cast<std::size_t>(flags.get_int("threads", 0)));
   BenchSetup setup = parse_obs_flags(flags);
   setup.paper_scale = flags.get_bool("paper-scale", false);
+  setup.network_explicit = flags.has("network");
   setup.epochs_explicit = flags.has("epochs");
+  setup.figure = parse_figure_flags(flags, figure_flags);
   core::StudyConfig& cfg = setup.study;
   cfg.network = flags.get_string("network", default_network);
-  const bool cifar = cfg.network.rfind("cifarnet", 0) == 0;
-  if (setup.paper_scale) {
-    cfg.train_size = 8000;
-    cfg.test_size = 2000;
-    cfg.attack_size = 500;
-    cfg.baseline_epochs = cifar ? 30 : 20;
-    cfg.finetune.epochs = 6;
-  } else {
-    cfg.train_size = 2000;
-    cfg.test_size = 400;
-    cfg.attack_size = 100;
-    cfg.baseline_epochs = cifar ? 16 : 6;
-    cfg.finetune.epochs = 2;
-  }
+  cfg.train_size = setup.paper_scale ? 8000 : 2000;
+  cfg.test_size = setup.paper_scale ? 2000 : 400;
+  cfg.attack_size = setup.paper_scale ? 500 : 100;
+  cfg.baseline_epochs = default_epochs(setup.paper_scale, cfg.network);
+  cfg.finetune.epochs = setup.paper_scale ? 6 : 2;
   cfg.train_size = flags.get_int("train-size", cfg.train_size);
   cfg.test_size = flags.get_int("test-size", cfg.test_size);
   cfg.attack_size = flags.get_int("attack-size", cfg.attack_size);
@@ -178,13 +263,16 @@ inline BenchSetup parse_common(util::CliFlags& flags,
 // Record the store identity of the baseline a Study resolved to, so the
 // manifest pins down exactly which artifacts the run used: the derivation
 // hash covers the full input closure (network, seed, sizes, epochs, batch
-// size, dataset content and initial weights). Keyed per network:
-// multi-network benches construct one Study per member of their loop.
-// Realises the baseline if it has not been yet.
+// size, dataset content and initial weights). Keyed per network, and
+// recorded once per network: every figure of a run trains its baselines
+// from the same flags. Realises the baseline if it has not been yet.
 inline void record_study(BenchSetup& setup, core::Study& study) {
-  setup.run.config.emplace_back(
-      "baseline_drv." + study.config().network,
-      obs::Json(study.baseline_drv_hash().hex()));
+  const std::string key = "baseline_drv." + study.config().network;
+  const std::string hex = study.baseline_drv_hash().hex();
+  for (const auto& [name, value] : setup.run.config) {
+    if (name == key) return;
+  }
+  setup.run.config.emplace_back(key, obs::Json(hex));
   setup.run.config.emplace_back("store_root." + study.config().network,
                                 obs::Json(study.store().root()));
 }
@@ -245,102 +333,30 @@ inline void finish_run(BenchSetup& setup, const std::string& name) {
   }
 }
 
-// For google-benchmark binaries: pull the obs flags (--trace, --manifest,
-// --no-metrics, --kernel, --telemetry, --telemetry-interval,
-// --stats-socket; value flags accept both `--flag value` and
-// `--flag=value`) out of argv before benchmark::Initialize rejects them as
-// unknown, and apply them. Returns a BenchSetup carrying only the
-// observability state; pair with finish_run() after
-// benchmark::RunSpecifiedBenchmarks().
-//
-// Malformed obs flags exit(2) with the offending flag named: anything that
-// fell through to google-benchmark used to die as a generic "unrecognized
-// command-line flag", which pointed at the wrong parser.
-inline BenchSetup strip_obs_flags(int& argc, char** argv) {
-  BenchSetup setup;
-  std::string kernel;
-  std::string interval_text;
-
-  const auto fail = [](const std::string& flag, const std::string& why) {
-    std::fprintf(stderr, "error: %s: %s\n", flag.c_str(), why.c_str());
-    std::exit(2);
-  };
-  // Matches `--name value` / `--name=value`; exits if the value is missing.
-  const auto value_flag = [&](const std::string& arg, const char* name,
-                              int& i, std::string* out_value) {
-    const std::string eq = std::string(name) + "=";
-    if (arg.rfind(eq, 0) == 0) {
-      *out_value = arg.substr(eq.size());
-      if (out_value->empty()) fail(name, "expected a non-empty value");
-      return true;
-    }
-    if (arg == name) {
-      if (i + 1 >= argc) fail(name, "expected a value after the flag");
-      *out_value = argv[++i];
-      return true;
-    }
-    return false;
-  };
-
-  int out = 1;
+// For google-benchmark binaries: `--benchmark_*` arguments stay in argv
+// for benchmark::Initialize; every other argument goes through CliFlags and
+// parse_obs_flags, and one they do not read (a misspelt obs flag, a stray
+// positional) throws, naming it, before any benchmark runs. Pair with
+// finish_run() after benchmark::RunSpecifiedBenchmarks().
+inline BenchSetup parse_benchmark_flags(int& argc, char** argv) {
+  std::vector<const char*> ours = {argv[0]};
+  int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--manifest") {
-      setup.write_manifest = true;
-    } else if (arg == "--no-metrics") {
-      obs::set_metrics(false);
-    } else if (value_flag(arg, "--trace", i, &setup.trace_path) ||
-               value_flag(arg, "--kernel", i, &kernel) ||
-               value_flag(arg, "--telemetry-interval", i, &interval_text) ||
-               value_flag(arg, "--telemetry", i, &setup.telemetry_path) ||
-               value_flag(arg, "--stats-socket", i,
-                          &setup.stats_socket_path)) {
-      // handled
-    } else if (arg.rfind("--telemetry", 0) == 0 ||
-               arg.rfind("--stats-socket", 0) == 0) {
-      // A misspelling like --telemetry-intervall would otherwise reach
-      // google-benchmark and die with a message naming the wrong parser.
-      fail(arg, "unrecognized observability flag");
+    if (std::strncmp(argv[i], "--benchmark_", 12) == 0) {
+      argv[kept++] = argv[i];
     } else {
-      argv[out++] = argv[i];
+      ours.push_back(argv[i]);
     }
   }
-  if (!interval_text.empty()) {
-    char* end = nullptr;
-    const long v = std::strtol(interval_text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
-      fail("--telemetry-interval",
-           "expected a positive millisecond count, got '" + interval_text +
-               "'");
-    }
-    if (setup.telemetry_path.empty()) {
-      fail("--telemetry-interval", "meaningless without --telemetry <path>");
-    }
-    setup.telemetry_interval_ms = static_cast<int>(v);
+  argc = kept;
+  util::CliFlags flags(static_cast<int>(ours.size()), ours.data());
+  if (!flags.positional().empty()) {
+    throw std::invalid_argument("unexpected argument " +
+                                flags.positional().front());
   }
-  if (!kernel.empty()) {
-    tensor::kernels::set_isa(tensor::kernels::parse_isa(kernel));
-  }
-  argc = out;
-  if (!setup.trace_path.empty()) obs::set_tracing(true);
-  obs::set_thread_name("main");
-  start_telemetry(setup);
+  BenchSetup setup = parse_obs_flags(flags);
+  flags.check_unused();
   return setup;
-}
-
-// Study config for a specific network within a multi-network bench loop:
-// re-resolves the per-network default epoch budget unless --epochs was
-// given explicitly.
-inline core::StudyConfig for_network(const BenchSetup& setup,
-                                     const std::string& net) {
-  core::StudyConfig cfg = setup.study;
-  cfg.network = net;
-  if (!setup.epochs_explicit) {
-    const bool cifar = net.rfind("cifarnet", 0) == 0;
-    cfg.baseline_epochs =
-        setup.paper_scale ? (cifar ? 30 : 20) : (cifar ? 16 : 6);
-  }
-  return cfg;
 }
 
 // Write a result table both to stdout and to artifacts/<name>.csv.
@@ -350,12 +366,6 @@ inline void emit_table(const util::Table& table, const std::string& name,
   const std::string path = io::artifacts_dir() + "/" + name + ".csv";
   table.write_csv(path);
   std::printf("(series written to %s)\n", path.c_str());
-}
-
-// Print a qualitative shape-check line: the reproduction target is trend
-// agreement with the paper, not absolute numbers.
-inline void shape_check(bool ok, const std::string& claim) {
-  std::printf("  [%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-DIFF", claim.c_str());
 }
 
 }  // namespace con::bench

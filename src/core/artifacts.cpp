@@ -75,16 +75,18 @@ store::Hash dataset_content_hash(const data::TrainTestSplit& split) {
 }
 
 store::Derivation baseline_derivation(const StudyConfig& config,
+                                      std::uint64_t init_seed,
                                       const store::Hash& init_state,
                                       const store::Hash& dataset) {
+  // The data seed (config.seed) enters through `dataset`.
   store::Derivation d("train-baseline",
-                      config.network + "-s" + std::to_string(config.seed));
+                      config.network + "-s" + std::to_string(init_seed));
   d.set("network", config.network);
   d.set("train_size", static_cast<std::int64_t>(config.train_size));
   d.set("epochs", static_cast<std::int64_t>(config.baseline_epochs));
   d.set("batch_size", static_cast<std::int64_t>(config.batch_size));
-  d.set("seed", static_cast<std::uint64_t>(config.seed));
-  d.set("shuffle_seed", static_cast<std::uint64_t>(config.seed ^ 0x5f5fULL));
+  d.set("seed", init_seed);
+  d.set("shuffle_seed", static_cast<std::uint64_t>(init_seed ^ 0x5f5fULL));
   // Content hashes close over what config fields cannot: `init_state` is
   // the initialised (untrained) model, so topology or init-scheme edits in
   // models::make_model re-address the checkpoint; `dataset` does the same

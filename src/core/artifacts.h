@@ -6,7 +6,7 @@
 // names all of its inputs. This header is the single place those closures
 // are defined, so "what invalidates what" is auditable:
 //
-//   baseline      <- init-state hash (topology + init scheme + seed),
+//   baseline      <- init seed, init-state hash (topology + init scheme),
 //                    dataset content hash, training config
 //   variant       <- baseline drv, compression op + level, finetune config,
 //                    dataset content hash
@@ -35,7 +35,10 @@ namespace con::core {
 
 store::Hash dataset_content_hash(const data::TrainTestSplit& split);
 
+// The baseline trained from init (and shuffle) seed `init_seed`; at
+// config.seed this is the study's baseline.
 store::Derivation baseline_derivation(const StudyConfig& config,
+                                      std::uint64_t init_seed,
                                       const store::Hash& init_state,
                                       const store::Hash& dataset);
 

@@ -10,8 +10,8 @@ CrossInitResult cross_init_transferability(Study& study,
                                            const attacks::AttackParams& params,
                                            std::uint64_t seed_a,
                                            std::uint64_t seed_b) {
-  nn::Sequential model_a = study.train_fresh_baseline(seed_a);
-  nn::Sequential model_b = study.train_fresh_baseline(seed_b);
+  nn::Sequential model_a = study.trained_baseline(seed_a).model;
+  nn::Sequential model_b = study.trained_baseline(seed_b).model;
 
   CrossInitResult result;
   result.accuracy_a = nn::evaluate_accuracy(

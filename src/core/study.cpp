@@ -55,29 +55,24 @@ const store::Hash& Study::dataset_hash() {
   return *dataset_hash_;
 }
 
-void Study::train_model(nn::Sequential& model, std::uint64_t shuffle_seed) {
-  util::log_info("training baseline %s (%d epochs, %lld samples)",
-                 model.name().c_str(), config_.baseline_epochs,
-                 static_cast<long long>(config_.train_size));
-  obs::Span span(model.name(), "train_baseline");
-  obs::ScopedPhase phase("train-baseline");
-  nn::TrainConfig tc;
-  tc.epochs = config_.baseline_epochs;
-  tc.batch_size = config_.batch_size;
-  tc.shuffle_seed = shuffle_seed;
-  nn::train_classifier(model, split_.train.images, split_.train.labels, tc);
-}
-
-nn::Sequential& Study::baseline() {
-  if (baseline_.has_value()) return *baseline_;
-  nn::Sequential model = models::make_model(config_.network, config_.seed);
+ModelArtifact Study::trained_baseline(std::uint64_t init_seed) {
+  nn::Sequential model = models::make_model(config_.network, init_seed);
   // The init-state hash is taken before training: it captures topology,
   // init scheme and seed, closing the derivation over models::make_model.
   const store::Derivation drv = baseline_derivation(
-      config_, io::model_state_hash(model), dataset_hash());
+      config_, init_seed, io::model_state_hash(model), dataset_hash());
   bool built = false;
   const std::string path = store_.realise(drv, [&](const std::string& tmp) {
-    train_model(model, config_.seed ^ 0x5f5fULL);
+    util::log_info("training baseline %s (%d epochs, %lld samples)",
+                   model.name().c_str(), config_.baseline_epochs,
+                   static_cast<long long>(config_.train_size));
+    obs::Span span(model.name(), "train_baseline");
+    obs::ScopedPhase phase("train-baseline");
+    nn::TrainConfig tc;
+    tc.epochs = config_.baseline_epochs;
+    tc.batch_size = config_.batch_size;
+    tc.shuffle_seed = init_seed ^ 0x5f5fULL;
+    nn::train_classifier(model, split_.train.images, split_.train.labels, tc);
     io::save_model(model, tmp);
     built = true;
   });
@@ -85,11 +80,20 @@ nn::Sequential& Study::baseline() {
     util::log_info("loading stored baseline %s", path.c_str());
     io::load_model_into(model, path);
   }
-  // Keep the current baseline's closure alive across GC; re-running with a
-  // changed config re-points the root and strands the old closure.
-  store_.add_root("baseline-" + config_.network, path);
-  baseline_drv_ = drv.hash();
-  baseline_ = std::move(model);
+  // Keep the current baselines' closures alive across GC; re-running with
+  // a changed config re-points the roots and strands the old closures.
+  std::string root = "baseline-" + config_.network;
+  if (init_seed != config_.seed) root += "-init" + std::to_string(init_seed);
+  store_.add_root(root, path);
+  return ModelArtifact{std::move(model), drv.hash()};
+}
+
+nn::Sequential& Study::baseline() {
+  if (!baseline_) {
+    ModelArtifact trained = trained_baseline(config_.seed);
+    baseline_drv_ = trained.drv;
+    baseline_ = std::move(trained.model);
+  }
   return *baseline_;
 }
 
@@ -101,17 +105,6 @@ const store::Hash& Study::baseline_drv_hash() {
 double Study::baseline_accuracy() {
   return nn::evaluate_accuracy(baseline(), split_.test.images,
                                split_.test.labels);
-}
-
-nn::Sequential Study::train_fresh_baseline(std::uint64_t init_seed) {
-  nn::Sequential model = models::make_model(config_.network, init_seed);
-  model.set_name(config_.network + "-init" + std::to_string(init_seed));
-  nn::TrainConfig tc;
-  tc.epochs = config_.baseline_epochs;
-  tc.batch_size = config_.batch_size;
-  tc.shuffle_seed = init_seed ^ 0x5f5fULL;
-  nn::train_classifier(model, split_.train.images, split_.train.labels, tc);
-  return model;
 }
 
 ModelArtifact Study::pruned_variant(double density, bool one_shot) {

@@ -54,16 +54,18 @@ class Study {
   const data::Dataset& test_set() const { return split_.test; }
   const data::Dataset& attack_set() const { return attack_set_; }
 
-  // The trained dense float32 baseline. Realised through the store on
-  // first access (training only on a store miss) and memoized in-process.
+  // The trained dense float32 baseline: trained_baseline(config().seed),
+  // memoized in-process.
   nn::Sequential& baseline();
 
   // Clean test accuracy of the baseline.
   double baseline_accuracy();
 
-  // Train a fresh baseline with a different initialisation seed (not
-  // stored) — used by the §3.3 cross-initialisation experiment.
-  nn::Sequential train_fresh_baseline(std::uint64_t init_seed);
+  // The dense baseline trained from the initialisation (and shuffle) seed
+  // `init_seed` on this study's data, realised through the store: trained
+  // only on a store miss. Other seeds serve the §3.3 cross-initialisation
+  // experiment.
+  ModelArtifact trained_baseline(std::uint64_t init_seed);
 
   // The artifact store backing this study.
   store::Store& store() { return store_; }
@@ -90,8 +92,6 @@ class Study {
                                       const attacks::AttackParams& params);
 
  private:
-  void train_model(nn::Sequential& model, std::uint64_t shuffle_seed);
-
   StudyConfig config_;
   data::TrainTestSplit split_;
   data::Dataset attack_set_;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "data/synth_digits.h"
 #include "io/checkpoint.h"
 #include "models/model_zoo.h"
+#include "obs/metrics.h"
 #include "store/store.h"
 #include "test_helpers.h"
 
@@ -64,9 +66,9 @@ TEST(ArtifactClosures, SeedReaddressesTheWholeChain) {
   // state; use distinct init hashes the way a real run would.
   const store::Hash ds = fake_hash("dataset");
   const store::Hash drv_a =
-      core::baseline_derivation(a, fake_hash("init-7"), ds).hash();
+      core::baseline_derivation(a, a.seed, fake_hash("init-7"), ds).hash();
   const store::Hash drv_b =
-      core::baseline_derivation(b, fake_hash("init-8"), ds).hash();
+      core::baseline_derivation(b, b.seed, fake_hash("init-8"), ds).hash();
   EXPECT_NE(drv_a, drv_b);
   // Variant closures contain the baseline drv, so they move too.
   EXPECT_NE(core::pruned_derivation(a, drv_a, ds, 0.5, false).hash(),
@@ -270,6 +272,31 @@ TEST(StoredStudy, SecondStudyIsServedFromTheStore) {
   EXPECT_EQ(io::model_state_hash(loaded).hex(),
             io::model_state_hash(trained).hex())
       << "a store hit must reproduce the trained state bit-exactly";
+}
+
+TEST(StoredStudy, FreshInitBaselineIsServedFromTheStore) {
+  core::StudyConfig cfg = tiny_config();
+  cfg.store_dir = fresh_store_dir("e2e_fresh");
+  const core::ModelArtifact trained =
+      core::Study(cfg).trained_baseline(1001);
+
+  core::Study warm(cfg);
+  const std::uint64_t hits0 = obs::counter("store.hit").value();
+  const std::uint64_t misses0 = obs::counter("store.miss").value();
+  const core::ModelArtifact loaded = warm.trained_baseline(1001);
+  EXPECT_EQ(obs::counter("store.miss").value(), misses0);
+  EXPECT_EQ(obs::counter("store.hit").value(), hits0 + 1);
+  EXPECT_EQ(loaded.drv, trained.drv);
+  const auto pa = trained.model.parameters();
+  const auto pb = loaded.model.parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i]->value.numel(), pb[i]->value.numel());
+    EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
+                          pa[i]->value.numel() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
 }
 
 TEST(StoredStudy, ZeroDrvVariantIsRejected) {

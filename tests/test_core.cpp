@@ -247,8 +247,8 @@ TEST_F(StudyTest, QuantizedFamilySweep) {
 }
 
 TEST_F(StudyTest, FreshBaselinesDifferButBothLearn) {
-  nn::Sequential a = study_->train_fresh_baseline(100);
-  nn::Sequential b = study_->train_fresh_baseline(200);
+  nn::Sequential a = study_->trained_baseline(100).model;
+  nn::Sequential b = study_->trained_baseline(200).model;
   const double acc_a = nn::evaluate_accuracy(a, study_->test_set().images,
                                              study_->test_set().labels);
   const double acc_b = nn::evaluate_accuracy(b, study_->test_set().images,
