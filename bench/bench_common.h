@@ -264,11 +264,13 @@ inline BenchSetup parse_common(util::CliFlags& flags,
 // manifest pins down exactly which artifacts the run used: the derivation
 // hash covers the full input closure (network, seed, sizes, epochs, batch
 // size, dataset content and initial weights). Keyed per network, and
-// recorded once per network: every figure of a run trains its baselines
-// from the same flags. Realises the baseline if it has not been yet.
+// recorded once per network: a network's baseline epochs resolve the same
+// way in every figure, and a figure's config transform touches only
+// fine-tuning, so one run never trains two baselines of one network at
+// config().seed. Realises the baseline if it has not been yet.
 inline void record_study(BenchSetup& setup, core::Study& study) {
   const std::string key = "baseline_drv." + study.config().network;
-  const std::string hex = study.baseline_drv_hash().hex();
+  const std::string hex = study.baseline_artifact().drv.hex();
   for (const auto& [name, value] : setup.run.config) {
     if (name == key) return;
   }

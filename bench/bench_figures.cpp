@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "attacks/attack.h"
 #include "attacks/params.h"
 #include "bench_common.h"
 #include "core/cdf.h"
@@ -113,11 +112,26 @@ struct Run {
       cfg.baseline_epochs = bench::default_epochs(setup.paper_scale, net);
     }
     if (figure.configure) figure.configure(cfg);
+    // The manifest says what each row ran: one entry per study it built.
+    const std::string key = std::string("figure.") + figure.id + ".";
+    append_config(key + "network", obs::Json(net));
+    append_config(key + "epochs", obs::Json(cfg.baseline_epochs));
+    append_config(key + "finetune_epochs", obs::Json(cfg.finetune.epochs));
     core::Study study(cfg);
     bench::record_study(setup, study);
     return study;
   }
   core::Study study() { return study(networks().front()); }
+
+  // Appends `value` to the manifest config array `key`, creating it.
+  void append_config(const std::string& key, obs::Json value) {
+    for (auto& [name, list] : setup.run.config) {
+      if (name == key) return list.push_back(std::move(value));
+    }
+    obs::Json list = obs::Json::array();
+    list.push_back(std::move(value));
+    setup.run.config.emplace_back(key, std::move(list));
+  }
 
   void check(Claim claim) {
     std::printf("  [%s] %s\n", claim.ok ? "SHAPE-OK" : "SHAPE-DIFF",
@@ -255,17 +269,18 @@ void figure2(Run& run) {
 // the paper's grounds for its Table 1 choices.
 void figure3(Run& run) {
   core::Study study = run.study();
-  nn::Sequential& model = study.baseline();
+  const core::ModelArtifact& base = study.baseline_artifact();
   const data::Dataset& probes = study.attack_set();
   std::printf("== Figure 3: %s accuracy vs attack strength ==\n",
               study.config().network.c_str());
   std::printf("clean accuracy on probes: %.3f\n",
-              nn::evaluate_accuracy(model, probes.images, probes.labels));
+              nn::evaluate_accuracy(base.model, probes.images, probes.labels));
+  // Every point is a store derivation: the Table 1 points share F2's
+  // scenario-2 batches, and a warm run crafts none.
   const auto adv_acc = [&](AttackKind kind, float eps, int iters) {
     const attacks::AttackParams p{.epsilon = eps, .iterations = iters};
-    const tensor::Tensor adv = attacks::run_attack_batched(
-        kind, model, probes.images, probes.labels, p);
-    return nn::evaluate_accuracy(model, adv, probes.labels);
+    return nn::evaluate_accuracy(
+        base.model, study.adversarial(base, kind, p).images, probes.labels);
   };
 
   const std::vector<float> eps_ifgsm = {0.005f, 0.01f, 0.02f, 0.04f, 0.08f};
@@ -704,6 +719,10 @@ int main(int argc, char** argv) {
   }
   bench::BenchSetup setup = bench::parse_common(flags, "lenet5-small", reads);
   flags.check_unused();
+
+  obs::Json ran = obs::Json::array();
+  for (const Figure* fig : figures) ran.push_back(obs::Json(fig->id));
+  setup.run.config.emplace_back("figures", std::move(ran));
 
   Register claims;
   for (const Figure* fig : figures) {

@@ -13,8 +13,9 @@
 // including the artifact-store section (store.hit / store.miss /
 // store.evict / store.gc_bytes), which bench::finish_run guarantees in
 // every manifest. With --expect-store-hits-only the manifest must describe
-// a fully warm run: store.miss == 0 and store.hit > 0 (the assertion the
-// store_smoke ctest makes about its second pass). With
+// a fully warm run: store.miss == 0 and store.hit > 0, and no attack or
+// training work — attack.chunks and model.backward_calls absent or 0 (the
+// assertion the store_smoke ctests make about their second pass). With
 // --expect-integer-path the manifest must prove the run actually exercised
 // the deployed int8 backend: at least one gemm.dispatch.int8.* counter
 // positive plus the requantize.quant_i8 input-quantisation counter and at
@@ -155,6 +156,11 @@ void validate_manifest(const std::string& path, bool expect_store_hits_only,
             "store.miss != 0 — a warm run rebuilt artifacts");
     require(counters->find("store.hit")->as_int() > 0,
             "store.hit == 0 — a warm run never touched the store");
+    for (const char* key : {"attack.chunks", "model.backward_calls"}) {
+      const Json* work = counters->find(key);
+      require(work == nullptr || work->as_int() == 0,
+              std::string(key) + " != 0 — a warm run crafted or trained");
+    }
   }
   if (expect_integer_path) validate_integer_path(*counters);
   validate_distributions(doc.find("metrics")->find("distributions"),

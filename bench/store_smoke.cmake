@@ -1,9 +1,11 @@
 # Two-pass incremental-sweep check for the artifact store: the same bench
 # run twice against one --store DIR must do all of its training/attack work
-# in pass 1 and none in pass 2. Asserted from the run manifests (pass 2:
-# store.miss == 0, store.hit > 0 via obs_validate --expect-store-hits-only)
-# and from the store itself (the warm pass must leave every object
-# byte-identical — SHA-256 snapshots taken after each pass must match).
+# in pass 1 and none in pass 2. Asserted from the run manifests (pass 2,
+# via obs_validate --expect-store-hits-only: store.miss == 0, store.hit > 0,
+# and attack.chunks and model.backward_calls absent or 0 — nothing crafted
+# or trained) and from the store itself (the warm pass must leave every
+# object byte-identical — SHA-256 snapshots taken after each pass must
+# match).
 # Driven by the store-smoke target and the store_smoke ctest entry.
 #
 # Usage:
@@ -52,7 +54,8 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
           "store_smoke: pass 2 recomputed stored artifacts (expected a fully "
-          "warm run: store.miss == 0, store.hit > 0)")
+          "warm run: store.miss == 0, store.hit > 0, no attack chunk or "
+          "backward call)")
 endif()
 
 execute_process(

@@ -145,14 +145,12 @@ store::Derivation adversarial_derivation(const store::Hash& source_drv,
   return d;
 }
 
-store::Derivation transfer_cell_derivation(const store::Hash& baseline_drv,
-                                           const store::Hash& variant_drv,
-                                           const store::Hash& dataset,
-                                           tensor::Index attack_size,
-                                           attacks::AttackKind attack,
-                                           const attacks::AttackParams& params,
-                                           const std::string& name) {
-  store::Derivation d("transfer-cell",
+store::Derivation transfer_cell_derivation(
+    const store::Hash& baseline_drv, const store::Hash& variant_drv,
+    const store::Hash& dataset, tensor::Index attack_size,
+    attacks::AttackKind attack, const attacks::AttackParams& params,
+    const std::string& name, const std::optional<Int8Formats>& int8) {
+  store::Derivation d(int8 ? "transfer-cell-int8" : "transfer-cell",
                       name + "-" + attacks::attack_name(attack));
   set_attack_attrs(d, dataset, attack_size, attack, params);
   // Inputs are serialized as a sorted set, which cannot distinguish the
@@ -162,28 +160,13 @@ store::Derivation transfer_cell_derivation(const store::Hash& baseline_drv,
   d.set("variant", variant_drv);
   d.add_input(baseline_drv);
   d.add_input(variant_drv);
-  set_kernel_attr(d);
-  return d;
-}
-
-store::Derivation integer_cell_derivation(
-    const store::Hash& baseline_drv, const store::Hash& variant_drv,
-    const store::Hash& dataset, tensor::Index attack_size,
-    attacks::AttackKind attack, const attacks::AttackParams& params,
-    const std::string& name, const compress::FixedPointFormat& weight_format,
-    const compress::FixedPointFormat& activation_format) {
-  store::Derivation d("transfer-cell-int8",
-                      name + "-" + attacks::attack_name(attack));
-  set_attack_attrs(d, dataset, attack_size, attack, params);
-  d.set("baseline", baseline_drv);
-  d.set("variant", variant_drv);
-  d.add_input(baseline_drv);
-  d.add_input(variant_drv);
-  // The formats the backend lowers to are measurement axes of their own:
-  // the same variant checkpoint produces different integer logits under a
-  // different activation grid, so the cell address must move with them.
-  d.set("int8.weight", weight_format.to_string());
-  d.set("int8.act", activation_format.to_string());
+  if (int8) {
+    // The formats the backend lowers to are measurement axes of their own:
+    // the same variant checkpoint produces different integer logits under
+    // a different activation grid, so the cell address must move with them.
+    d.set("int8.weight", int8->first.to_string());
+    d.set("int8.act", int8->second.to_string());
+  }
   set_kernel_attr(d);
   return d;
 }

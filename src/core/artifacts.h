@@ -12,7 +12,7 @@
 //                    dataset content hash
 //   adversarial   <- source-model drv, attack + params, eval-subset size
 //   transfer cell <- baseline drv, variant drv, attack + params,
-//                    eval-subset size
+//                    eval-subset size (+ int8 formats for integer cells)
 //
 // Changing one axis (a seed, a density, an epsilon) re-addresses exactly
 // the derivations whose closure contains it: a new epsilon rebuilds every
@@ -23,7 +23,9 @@
 // the aliasing bug the old string keys had.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "attacks/params.h"
 #include "compress/fixed_point.h"
@@ -61,29 +63,23 @@ store::Derivation adversarial_derivation(const store::Hash& source_drv,
                                          const attacks::AttackParams& params,
                                          const std::string& name);
 
-// One transfer-matrix cell: the four scenario accuracies for a
-// (baseline, variant) pair under one attack.
-store::Derivation transfer_cell_derivation(const store::Hash& baseline_drv,
-                                           const store::Hash& variant_drv,
-                                           const store::Hash& dataset,
-                                           tensor::Index attack_size,
-                                           attacks::AttackKind attack,
-                                           const attacks::AttackParams& params,
-                                           const std::string& name);
+// The fixed-point formats a variant's weights and activations lower to on
+// the int8 backend (compress::integer_formats).
+using Int8Formats =
+    std::pair<compress::FixedPointFormat, compress::FixedPointFormat>;
 
-// One deployed-integer transfer cell: the four scenario accuracies with
-// the compressed model executed on the int8 backend
-// (core::evaluate_scenarios_integer). A distinct kind plus the weight /
-// activation fixed-point formats as attributes keep integer cells at
-// addresses that can never alias the fake-quant float cells above, and
-// re-address every cell when either format axis moves; the kernel ISA
-// attribute rides along exactly as for the float cells.
-store::Derivation integer_cell_derivation(
+// One transfer-matrix cell: the four scenario accuracies for a
+// (baseline, variant) pair under one attack. With `int8` set, the cell
+// measures the compressed model on the int8 backend
+// (core::evaluate_scenarios_integer): a distinct kind plus the weight /
+// activation formats as attributes keep integer cells at addresses that can
+// never alias the fake-quant float cells, and re-address every integer cell
+// when either format axis moves.
+store::Derivation transfer_cell_derivation(
     const store::Hash& baseline_drv, const store::Hash& variant_drv,
     const store::Hash& dataset, tensor::Index attack_size,
     attacks::AttackKind attack, const attacks::AttackParams& params,
-    const std::string& name, const compress::FixedPointFormat& weight_format,
-    const compress::FixedPointFormat& activation_format);
+    const std::string& name, const std::optional<Int8Formats>& int8 = {});
 
 // Tiny binary payload for a stored cell (magic + version + four doubles);
 // loading a stored cell is provably equivalent to recomputing it because

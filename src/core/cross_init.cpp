@@ -10,18 +10,20 @@ CrossInitResult cross_init_transferability(Study& study,
                                            const attacks::AttackParams& params,
                                            std::uint64_t seed_a,
                                            std::uint64_t seed_b) {
-  nn::Sequential model_a = study.trained_baseline(seed_a).model;
-  nn::Sequential model_b = study.trained_baseline(seed_b).model;
+  const ModelArtifact a = study.trained_baseline(seed_a);
+  const ModelArtifact b = study.trained_baseline(seed_b);
 
   CrossInitResult result;
   result.accuracy_a = nn::evaluate_accuracy(
-      model_a, study.test_set().images, study.test_set().labels);
+      a.model, study.test_set().images, study.test_set().labels);
   result.accuracy_b = nn::evaluate_accuracy(
-      model_b, study.test_set().images, study.test_set().labels);
-  result.transfer_a_to_b =
-      transfer_rate(model_a, model_b, attack, params, study.attack_set());
-  result.transfer_b_to_a =
-      transfer_rate(model_b, model_a, attack, params, study.attack_set());
+      b.model, study.test_set().images, study.test_set().labels);
+  result.transfer_a_to_b = transfer_rate(
+      a.model, b.model, study.adversarial(a, attack, params).images,
+      study.attack_set());
+  result.transfer_b_to_a = transfer_rate(
+      b.model, a.model, study.adversarial(b, attack, params).images,
+      study.attack_set());
   return result;
 }
 

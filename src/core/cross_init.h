@@ -17,6 +17,9 @@ struct CrossInitResult {
   double transfer_b_to_a = 0.0;
 };
 
+// Both trainings and both directions' batches are store derivations
+// (Study::trained_baseline, Study::adversarial): a warm re-run crafts
+// nothing.
 CrossInitResult cross_init_transferability(Study& study,
                                            attacks::AttackKind attack,
                                            const attacks::AttackParams& params,

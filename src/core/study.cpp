@@ -88,18 +88,9 @@ ModelArtifact Study::trained_baseline(std::uint64_t init_seed) {
   return ModelArtifact{std::move(model), drv.hash()};
 }
 
-nn::Sequential& Study::baseline() {
-  if (!baseline_) {
-    ModelArtifact trained = trained_baseline(config_.seed);
-    baseline_drv_ = trained.drv;
-    baseline_ = std::move(trained.model);
-  }
+ModelArtifact& Study::baseline_artifact() {
+  if (!baseline_) baseline_ = trained_baseline(config_.seed);
   return *baseline_;
-}
-
-const store::Hash& Study::baseline_drv_hash() {
-  baseline();
-  return *baseline_drv_;
 }
 
 double Study::baseline_accuracy() {
@@ -108,13 +99,14 @@ double Study::baseline_accuracy() {
 }
 
 ModelArtifact Study::pruned_variant(double density, bool one_shot) {
-  nn::Sequential& base = baseline();
+  const ModelArtifact& base = baseline_artifact();
   const store::Derivation drv = pruned_derivation(
-      config_, *baseline_drv_, dataset_hash(), density, one_shot);
+      config_, base.drv, dataset_hash(), density, one_shot);
   std::optional<nn::Sequential> model;
   const std::string path = store_.realise(drv, [&](const std::string& tmp) {
-    util::log_info("pruning %s to density %.3f", base.name().c_str(), density);
-    model = compress::make_pruned_model(base, split_.train, density,
+    util::log_info("pruning %s to density %.3f", base.model.name().c_str(),
+                   density);
+    model = compress::make_pruned_model(base.model, split_.train, density,
                                         config_.finetune, one_shot);
     io::save_model(*model, tmp);
   });
@@ -128,13 +120,14 @@ ModelArtifact Study::pruned_variant(double density, bool one_shot) {
 }
 
 ModelArtifact Study::quantized_variant(int bits, bool quantize_activations) {
-  nn::Sequential& base = baseline();
+  const ModelArtifact& base = baseline_artifact();
   const store::Derivation drv = quantized_derivation(
-      config_, *baseline_drv_, dataset_hash(), bits, quantize_activations);
+      config_, base.drv, dataset_hash(), bits, quantize_activations);
   std::optional<nn::Sequential> model;
   const std::string path = store_.realise(drv, [&](const std::string& tmp) {
-    util::log_info("quantising %s to %d bits", base.name().c_str(), bits);
-    model = compress::make_quantized_model(base, split_.train, bits,
+    util::log_info("quantising %s to %d bits", base.model.name().c_str(),
+                   bits);
+    model = compress::make_quantized_model(base.model, split_.train, bits,
                                            config_.finetune,
                                            quantize_activations);
     io::save_model(*model, tmp);
@@ -155,24 +148,27 @@ ModelArtifact Study::quantized_variant(int bits, bool quantize_activations) {
   return ModelArtifact{std::move(*model), drv.hash()};
 }
 
-tensor::Tensor Study::baseline_adversarial(attacks::AttackKind attack,
-                                           const attacks::AttackParams& params) {
-  nn::Sequential& base = baseline();
-  obs::ScopedPhase phase("baseline-adversarial");
+AdversarialBatch Study::adversarial(const ModelArtifact& source,
+                                    attacks::AttackKind attack,
+                                    const attacks::AttackParams& params) {
+  if (source.drv.is_zero()) {
+    throw std::invalid_argument("Study::adversarial: " + source.model.name() +
+                                " has no store derivation");
+  }
+  obs::ScopedPhase phase("adversarial");
   const store::Derivation drv =
-      adversarial_derivation(*baseline_drv_, dataset_hash(),
-                             config_.attack_size, attack, params,
-                             config_.network);
+      adversarial_derivation(source.drv, dataset_hash(), config_.attack_size,
+                             attack, params, config_.network);
   std::optional<tensor::Tensor> adv;
   const std::string path = store_.realise(drv, [&](const std::string& tmp) {
-    obs::Span span(base.name(), "baseline_adversarial");
-    adv = attacks::run_attack_batched(attack, base, attack_set_.images,
+    obs::Span span(source.model.name(), "adversarial");
+    adv = attacks::run_attack_batched(attack, source.model, attack_set_.images,
                                       attack_set_.labels, params,
                                       attack_set_.num_classes());
     io::save_tensor(*adv, tmp);
   });
   if (!adv) adv = io::load_tensor(path);
-  return std::move(*adv);
+  return AdversarialBatch{std::move(*adv), drv.hash()};
 }
 
 }  // namespace con::core

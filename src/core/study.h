@@ -45,6 +45,14 @@ struct ModelArtifact {
   store::Hash drv;
 };
 
+// Adversarial samples over a study's attack_set() and the hash of the
+// derivation that crafted them — the input edge of the cells and sweep
+// indexes that use the batch.
+struct AdversarialBatch {
+  tensor::Tensor images;
+  store::Hash drv;
+};
+
 class Study {
  public:
   explicit Study(StudyConfig config);
@@ -55,8 +63,10 @@ class Study {
   const data::Dataset& attack_set() const { return attack_set_; }
 
   // The trained dense float32 baseline: trained_baseline(config().seed),
-  // memoized in-process.
-  nn::Sequential& baseline();
+  // memoized in-process. Its `drv` is the input edge every downstream
+  // artifact hangs off.
+  ModelArtifact& baseline_artifact();
+  nn::Sequential& baseline() { return baseline_artifact().model; }
 
   // Clean test accuracy of the baseline.
   double baseline_accuracy();
@@ -74,10 +84,6 @@ class Study {
   // every derivation closure: regenerating the data regenerates the grid.
   const store::Hash& dataset_hash();
 
-  // Hash of the baseline's derivation — the input edge every downstream
-  // artifact hangs off. Realises the baseline if needed.
-  const store::Hash& baseline_drv_hash();
-
   // Store-backed compressed variants. On a hit the checkpoint is loaded
   // (bit-identical to a recompute — tests/test_packed_cache_invalidation
   // pins the round-trip); on a miss the variant is built, fine-tuned and
@@ -85,20 +91,23 @@ class Study {
   ModelArtifact pruned_variant(double density, bool one_shot = false);
   ModelArtifact quantized_variant(int bits, bool quantize_activations = true);
 
-  // The scenario-2 batch: adversarial samples crafted against the baseline
-  // over attack_set(). Shared by every member of a compression family, so
-  // it is a first-class derivation rather than a per-sweep recompute.
-  tensor::Tensor baseline_adversarial(attacks::AttackKind attack,
-                                      const attacks::AttackParams& params);
+  // Adversarial samples crafted against `source` over attack_set(),
+  // realised through the store: crafted only on a miss. The one place a
+  // study's batch is crafted or loaded — the scenario-2 batch (source: the
+  // baseline, shared by every member of a compression family), Fig. 3's
+  // attack-strength points and §3.3's cross-initialisation batches. Throws
+  // std::invalid_argument for a source with a zero `drv`.
+  AdversarialBatch adversarial(const ModelArtifact& source,
+                               attacks::AttackKind attack,
+                               const attacks::AttackParams& params);
 
  private:
   StudyConfig config_;
   data::TrainTestSplit split_;
   data::Dataset attack_set_;
   store::Store store_;
-  std::optional<nn::Sequential> baseline_;
+  std::optional<ModelArtifact> baseline_;
   std::optional<store::Hash> dataset_hash_;
-  std::optional<store::Hash> baseline_drv_;
 };
 
 }  // namespace con::core

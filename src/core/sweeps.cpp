@@ -36,91 +36,140 @@ std::vector<ModelArtifact> build_quantized_family(
 
 namespace {
 
-// A store cell's derivation hangs off the variant's; a zero hash names no
-// derivation the store has seen. Checked before any attack is crafted.
-void require_stored(const ModelArtifact& variant, const char* where) {
+// The float transfer cells and their deployed-int8 counterparts share one
+// realiser and one sweep driver; this is what else tells them apart.
+struct CellKind {
+  bool integer;         // evaluate_scenarios_integer, addressed with formats
+  const char* what;     // named in errors
+  const char* counter;  // obs counter of realised sweep cells
+  const char* span;     // trace span of one sweep cell
+  const char* root;     // prefix of the sweep-index root label
+};
+constexpr CellKind kFloatCells{false, "transfer cell", "sweep.cells",
+                               "sweep_cell", ""};
+constexpr CellKind kIntegerCells{true, "int8 transfer cell",
+                                 "sweep.cells.int8", "sweep_cell_int8",
+                                 "int8-"};
+
+// The int8 entry points hang packed code panels off a model's layers, so
+// they take it mutable; integer cells are reached only through the integer
+// public entry points, which take their variants non-const.
+nn::Sequential& int8_model(const ModelArtifact& variant) {
+  return const_cast<nn::Sequential&>(variant.model);
+}
+
+// Rejects a member no cell can be realised for, before any attack is
+// crafted (a throw from a worker thread would lose the message): a cell's
+// derivation hangs off the variant's, and a zero hash names no derivation
+// the store has seen; an integer cell also needs an integer-executable
+// variant.
+void require_cell(const CellKind& kind, const ModelArtifact& variant) {
+  std::string why;
   if (variant.drv.is_zero()) {
-    throw std::invalid_argument(std::string(where) + ": " +
-                                variant.model.name() +
-                                " has no store derivation");
+    why = "has no store derivation";
+  } else if (kind.integer) {
+    why = compress::integer_blocker(int8_model(variant));
+  }
+  if (!why.empty()) {
+    throw std::invalid_argument(std::string(kind.what) + " of " +
+                                variant.model.name() + ": " + why);
   }
 }
 
-// One cell through the store. Callers must have warmed the study's lazy
-// state (baseline, hashes, adversarial batch) before invoking this from
-// worker threads: the getters below then only read memoized values.
-ScenarioPoint stored_cell(Study& study, const ModelArtifact& variant,
+// One cell through the store: evaluated against `baseline_adv` and inserted
+// on a miss, loaded on a hit. Callers must have warmed the study's lazy
+// state (baseline, dataset hash) before invoking this from worker threads:
+// the getters below then only read memoized values.
+ScenarioPoint stored_cell(Study& study, const CellKind& kind,
+                          const ModelArtifact& variant,
                           attacks::AttackKind attack,
                           const attacks::AttackParams& params,
                           const tensor::Tensor& baseline_adv,
                           store::Hash* cell_hash) {
-  store::Store& s = study.store();
+  const ModelArtifact& base = study.baseline_artifact();
+  std::optional<Int8Formats> formats;
+  if (kind.integer) formats = compress::integer_formats(int8_model(variant));
   const store::Derivation drv = transfer_cell_derivation(
-      study.baseline_drv_hash(), variant.drv, study.dataset_hash(),
-      study.config().attack_size, attack, params, variant.model.name());
-  std::optional<ScenarioPoint> point;
-  const std::string path = s.realise(drv, [&](const std::string& tmp) {
-    point = evaluate_scenarios(study.baseline(), variant.model, attack, params,
-                               study.attack_set(), baseline_adv);
-    save_scenario_point(*point, tmp);
-  });
-  if (!point) point = load_scenario_point(path);
-  if (cell_hash != nullptr) *cell_hash = drv.hash();
-  return *point;
-}
-
-// The integer twin of stored_cell: same realise-or-load shape, but the
-// cell computes evaluate_scenarios_integer and is addressed by
-// integer_cell_derivation (kind + fixed-point format attrs), so it can
-// never serve or shadow a float cell.
-ScenarioPoint stored_integer_cell(Study& study, ModelArtifact& variant,
-                                  attacks::AttackKind attack,
-                                  const attacks::AttackParams& params,
-                                  const tensor::Tensor& baseline_adv,
-                                  store::Hash* cell_hash) {
-  store::Store& s = study.store();
-  const auto formats = compress::integer_formats(variant.model);
-  const store::Derivation drv = integer_cell_derivation(
-      study.baseline_drv_hash(), variant.drv, study.dataset_hash(),
+      base.drv, variant.drv, study.dataset_hash(),
       study.config().attack_size, attack, params, variant.model.name(),
-      formats.first, formats.second);
+      formats);
   std::optional<ScenarioPoint> point;
-  const std::string path = s.realise(drv, [&](const std::string& tmp) {
-    point = evaluate_scenarios_integer(study.baseline(), variant.model, attack,
-                                       params, study.attack_set(),
-                                       baseline_adv);
-    save_scenario_point(*point, tmp);
-  });
+  const std::string path =
+      study.store().realise(drv, [&](const std::string& tmp) {
+        point = kind.integer
+                    ? evaluate_scenarios_integer(
+                          base.model, int8_model(variant), attack, params,
+                          study.attack_set(), baseline_adv)
+                    : evaluate_scenarios(base.model, variant.model, attack,
+                                         params, study.attack_set(),
+                                         baseline_adv);
+        save_scenario_point(*point, tmp);
+      });
   if (!point) point = load_scenario_point(path);
   if (cell_hash != nullptr) *cell_hash = drv.hash();
   return *point;
 }
 
-// Realise the sweep-index artifact over `cell_hashes` and point the
-// `root_name` GC root at it, keeping the sweep's closure alive.
-void root_sweep_index(Study& study, attacks::AttackKind attack,
-                      const attacks::AttackParams& params,
-                      const std::vector<store::Hash>& cell_hashes,
-                      const std::string& root_name) {
-  store::Store& s = study.store();
-  store::Derivation index("sweep-index", root_name);
+// One cell outside a sweep: no sweep index is realised or rooted, so the
+// sweep roots keep naming whole families.
+ScenarioPoint single_cell(Study& study, const CellKind& kind,
+                          const ModelArtifact& variant,
+                          attacks::AttackKind attack,
+                          const attacks::AttackParams& params) {
+  require_cell(kind, variant);
+  const AdversarialBatch adv =
+      study.adversarial(study.baseline_artifact(), attack, params);
+  return stored_cell(study, kind, variant, attack, params, adv.images,
+                     nullptr);
+}
+
+// Both sweeps: every member's cell, realised in parallel into its own slot
+// (so the values are thread-count invariant), then the sweep index.
+std::vector<ScenarioPoint> sweep(Study& study, const CellKind& kind,
+                                 const std::vector<ModelArtifact>& family,
+                                 attacks::AttackKind attack,
+                                 const attacks::AttackParams& params) {
+  std::vector<ScenarioPoint> points(family.size());
+  if (family.empty()) return points;
+  obs::ScopedPhase phase("sweep");
+  for (const ModelArtifact& m : family) require_cell(kind, m);
+  // Realising the batch warms all lazily-memoized study state on this
+  // thread; worker threads below only read it.
+  const AdversarialBatch adv =
+      study.adversarial(study.baseline_artifact(), attack, params);
+  std::vector<store::Hash> cell_hashes(family.size());
+  obs::Counter& cells = obs::counter(kind.counter);
+  util::parallel_for(0, family.size(), [&](std::size_t i) {
+    obs::Span span(family[i].model.name(), kind.span);
+    points[i] = stored_cell(study, kind, family[i], attack, params, adv.images,
+                            &cell_hashes[i]);
+    cells.add(1);
+  });
+
+  // The sweep index is a tiny text artifact whose inputs are every cell
+  // (and, transitively via the cells' own provenance, the variants and
+  // baseline) plus the shared adversarial batch. Rooting it as
+  // sweep-[int8-]<network>-<attack> keeps the sweep's full closure alive; a
+  // sweep with any changed axis produces a new index and re-points the
+  // root, stranding the old closure for gc().
+  const std::string name = std::string(kind.root) + study.config().network +
+                           "-" + attacks::attack_name(attack);
+  store::Derivation index("sweep-index", name);
   index.set("cells", static_cast<std::int64_t>(cell_hashes.size()));
   for (const store::Hash& h : cell_hashes) index.add_input(h);
-  index.add_input(
-      adversarial_derivation(study.baseline_drv_hash(), study.dataset_hash(),
-                             study.config().attack_size, attack, params,
-                             study.config().network)
-          .hash());
+  index.add_input(adv.drv);
   std::vector<std::string> lines;
   lines.reserve(cell_hashes.size());
   for (const store::Hash& h : cell_hashes) lines.push_back(h.short_hex());
   std::sort(lines.begin(), lines.end());
+  store::Store& s = study.store();
   const std::string path = s.realise(index, [&](const std::string& tmp) {
     std::ofstream f(tmp, std::ios::trunc);
     for (const std::string& line : lines) f << line << "\n";
     if (!f) throw std::runtime_error("sweep index write failed");
   });
-  s.add_root("sweep-" + root_name, path);
+  s.add_root("sweep-" + name, path);
+  return points;
 }
 
 }  // namespace
@@ -129,85 +178,25 @@ ScenarioPoint evaluate_scenarios_stored(Study& study,
                                         const ModelArtifact& variant,
                                         attacks::AttackKind attack,
                                         const attacks::AttackParams& params) {
-  require_stored(variant, "evaluate_scenarios_stored");
-  const tensor::Tensor baseline_adv = study.baseline_adversarial(attack, params);
-  return stored_cell(study, variant, attack, params, baseline_adv, nullptr);
-}
-
-std::vector<ScenarioPoint> sweep_scenarios(
-    Study& study, const std::vector<ModelArtifact>& family,
-    attacks::AttackKind attack, const attacks::AttackParams& params) {
-  std::vector<ScenarioPoint> points(family.size());
-  if (family.empty()) return points;
-  obs::ScopedPhase phase("sweep");
-  for (const ModelArtifact& m : family) require_stored(m, "sweep_scenarios");
-  // Warm all lazily-memoized study state on this thread; worker threads
-  // below only read it.
-  const tensor::Tensor baseline_adv =
-      study.baseline_adversarial(attack, params);
-  study.dataset_hash();
-  study.baseline_drv_hash();
-  std::vector<store::Hash> cell_hashes(family.size());
-  static obs::Counter& cells = obs::counter("sweep.cells");
-  util::parallel_for(0, family.size(), [&](std::size_t i) {
-    obs::Span span(family[i].model.name(), "sweep_cell");
-    points[i] =
-        stored_cell(study, family[i], attack, params, baseline_adv,
-                    &cell_hashes[i]);
-    cells.add(1);
-  });
-
-  // The sweep index is a tiny text artifact whose inputs are every cell
-  // (and, transitively via the cells' own provenance, the variants and
-  // baseline) plus the shared adversarial batch. Rooting it keeps the
-  // sweep's full closure alive; a sweep with any changed axis produces a
-  // new index and re-points the root, stranding the old closure for gc().
-  root_sweep_index(study, attack, params, cell_hashes,
-                   study.config().network + "-" + attacks::attack_name(attack));
-  return points;
+  return single_cell(study, kFloatCells, variant, attack, params);
 }
 
 ScenarioPoint evaluate_scenarios_integer_stored(
     Study& study, ModelArtifact& variant, attacks::AttackKind attack,
     const attacks::AttackParams& params) {
-  require_stored(variant, "evaluate_scenarios_integer_stored");
-  const tensor::Tensor baseline_adv = study.baseline_adversarial(attack, params);
-  return stored_integer_cell(study, variant, attack, params, baseline_adv,
-                             nullptr);
+  return single_cell(study, kIntegerCells, variant, attack, params);
+}
+
+std::vector<ScenarioPoint> sweep_scenarios(
+    Study& study, const std::vector<ModelArtifact>& family,
+    attacks::AttackKind attack, const attacks::AttackParams& params) {
+  return sweep(study, kFloatCells, family, attack, params);
 }
 
 std::vector<ScenarioPoint> sweep_scenarios_integer(
     Study& study, std::vector<ModelArtifact>& family,
     attacks::AttackKind attack, const attacks::AttackParams& params) {
-  std::vector<ScenarioPoint> points(family.size());
-  if (family.empty()) return points;
-  obs::ScopedPhase phase("sweep");
-  // Reject non-executable members up front, before spending any attack
-  // generation: a throw from a worker thread would lose the blocker text.
-  for (ModelArtifact& m : family) {
-    require_stored(m, "sweep_scenarios_integer");
-    std::string why = compress::integer_blocker(m.model);
-    if (!why.empty()) {
-      throw std::invalid_argument("sweep_scenarios_integer: " +
-                                  m.model.name() + ": " + why);
-    }
-  }
-  const tensor::Tensor baseline_adv =
-      study.baseline_adversarial(attack, params);
-  study.dataset_hash();
-  study.baseline_drv_hash();
-  std::vector<store::Hash> cell_hashes(family.size());
-  static obs::Counter& cells = obs::counter("sweep.cells.int8");
-  util::parallel_for(0, family.size(), [&](std::size_t i) {
-    obs::Span span(family[i].model.name(), "sweep_cell_int8");
-    points[i] = stored_integer_cell(study, family[i], attack, params,
-                                    baseline_adv, &cell_hashes[i]);
-    cells.add(1);
-  });
-  root_sweep_index(study, attack, params, cell_hashes,
-                   "int8-" + study.config().network + "-" +
-                       attacks::attack_name(attack));
-  return points;
+  return sweep(study, kIntegerCells, family, attack, params);
 }
 
 std::vector<double> paper_density_grid() {

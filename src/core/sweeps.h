@@ -36,8 +36,8 @@ ScenarioPoint evaluate_scenarios_stored(Study& study,
 
 // Scenario accuracies for every member of a family built by the builders
 // above, under one attack. The output order matches the family order. The
-// scenario-2 batch comes from Study::baseline_adversarial (itself a store
-// artifact shared across attacks of the same closure); each cell is a
+// scenario-2 batch comes from Study::adversarial (itself a store artifact
+// shared across attacks of the same closure); each cell is a
 // transfer-cell derivation, evaluated in parallel on misses and loaded on
 // hits; each cell writes its own slot, so the values are thread-count
 // invariant. A "sweep index" artifact listing every cell is registered as the
@@ -52,8 +52,8 @@ std::vector<ScenarioPoint> sweep_scenarios(Study& study,
 // Deployed-integer scenario axis through the store. Same cell semantics
 // as evaluate_scenarios_integer (the compressed model runs on the int8
 // backend; attacks are crafted against the simulated graph), addressed by
-// integer_cell_derivation so integer cells never collide with the float
-// cells of the same (variant, attack) pair. Variants must be
+// transfer_cell_derivation with the variant's int8 formats so integer cells
+// never collide with the float cells of the same (variant, attack) pair. Variants must be
 // integer-executable — filter the family with compress::integer_executable
 // first (of the paper's bitwidth grid, exactly the 4- and 8-bit members
 // qualify). Non-const: the integer entry points populate per-layer packed

@@ -60,12 +60,10 @@ ScenarioPoint evaluate_scenarios_integer(const nn::Sequential& baseline,
 }
 
 double transfer_rate(const nn::Sequential& source, const nn::Sequential& target,
-                     attacks::AttackKind attack,
-                     const attacks::AttackParams& params,
-                     const data::Dataset& eval_set) {
-  tensor::Tensor adv = attacks::run_attack_batched(attack, source, eval_set.images,
-                                           eval_set.labels, params,
-                                           eval_set.num_classes());
+                     const tensor::Tensor& adv, const data::Dataset& eval_set) {
+  if (adv.shape() != eval_set.images.shape()) {
+    throw std::invalid_argument("transfer_rate: adv shape mismatch");
+  }
   const std::vector<int> src_clean =
       nn::predict(source, eval_set.images);
   const std::vector<int> src_adv = nn::predict(source, adv);

@@ -22,7 +22,7 @@ struct ScenarioPoint {
 // `baseline_adv` is the scenario-2 adversarial batch, crafted against the
 // baseline over `eval_set`. It does not depend on the compressed model, so
 // sweeps over a whole compression family generate it once
-// (Study::baseline_adversarial) and share it across every member.
+// (Study::adversarial) and share it across every member.
 ScenarioPoint evaluate_scenarios(const nn::Sequential& baseline,
                                  const nn::Sequential& compressed,
                                  attacks::AttackKind attack,
@@ -49,10 +49,9 @@ ScenarioPoint evaluate_scenarios_integer(const nn::Sequential& baseline,
                                          const tensor::Tensor& baseline_adv);
 
 // Transfer rate as used for the §3.3 cross-initialisation check: of the
-// samples that fool `source`, the fraction that also fool `target`.
+// samples that fool `source`, the fraction that also fool `target`. `adv`
+// is crafted against `source` over `eval_set` (Study::adversarial).
 double transfer_rate(const nn::Sequential& source, const nn::Sequential& target,
-                     attacks::AttackKind attack,
-                     const attacks::AttackParams& params,
-                     const data::Dataset& eval_set);
+                     const tensor::Tensor& adv, const data::Dataset& eval_set);
 
 }  // namespace con::core

@@ -2,6 +2,7 @@
 
 #include "compress/fixed_point.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +58,19 @@ void write_tensor_body(std::ostream& f, const tensor::Tensor& t) {
   write_bytes(f, t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
 }
 
+// Bytes between the read position and the end of `f`: the bound on any
+// length a header or a shape may claim, checked before allocating for it.
+std::uint64_t bytes_left(std::istream& f) {
+  const std::streamoff here = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streamoff end = f.tellg();
+  f.seekg(here);
+  if (here < 0 || end < here || !f) {
+    throw std::runtime_error("checkpoint: cannot size the stream");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
 tensor::Tensor read_tensor_body(std::istream& f) {
   const auto rank = read_pod<std::uint32_t>(f);
   if (rank > 8) throw std::runtime_error("checkpoint: implausible rank");
@@ -65,6 +79,18 @@ tensor::Tensor read_tensor_body(std::istream& f) {
     d = read_pod<std::int64_t>(f);
     if (d < 0 || d > (1 << 28)) {
       throw std::runtime_error("checkpoint: implausible dimension");
+    }
+  }
+  // The element count must fit in what is left of the file, checked factor
+  // by factor so the product cannot overflow (a zero dimension needs none).
+  if (std::find(dims.begin(), dims.end(), 0) == dims.end()) {
+    const std::uint64_t limit = bytes_left(f) / sizeof(float);
+    std::uint64_t numel = 1;
+    for (tensor::Index d : dims) {
+      if (numel > limit / static_cast<std::uint64_t>(d)) {
+        throw std::runtime_error("checkpoint: tensor larger than the file");
+      }
+      numel *= static_cast<std::uint64_t>(d);
     }
   }
   tensor::Tensor t{tensor::Shape{std::move(dims)}};
@@ -95,8 +121,7 @@ void write_payload(std::ostream& f, const std::vector<nn::Parameter*>& params) {
   }
 }
 
-void load_payload(std::istream& f, std::uint32_t version,
-                  const std::vector<nn::Parameter*>& params,
+void load_payload(std::istream& f, const std::vector<nn::Parameter*>& params,
                   const std::string& path) {
   const auto count = read_pod<std::uint64_t>(f);
   if (count != params.size()) {
@@ -126,23 +151,21 @@ void load_payload(std::istream& f, std::uint32_t version,
       p->mask = tensor::Tensor();
     }
     p->transform.reset();
-    if (version >= 2) {
-      const auto kind = read_pod<std::uint8_t>(f);
-      if (kind == 1) {
-        compress::FixedPointFormat fmt;
-        fmt.total_bits = read_pod<std::int32_t>(f);
-        fmt.integer_bits = read_pod<std::int32_t>(f);
-        if (!fmt.valid()) {
-          throw std::runtime_error("checkpoint: bad fixed-point record");
-        }
-        p->transform =
-            std::make_shared<const compress::FixedPointWeightTransform>(fmt);
-      } else if (kind != 0) {
-        // Kind 2 was the weight-clustering codebook, which this build no
-        // longer has.
-        throw std::runtime_error("checkpoint: unknown transform kind " +
-                                 std::to_string(kind) + " in " + path);
+    const auto kind = read_pod<std::uint8_t>(f);
+    if (kind == 1) {
+      compress::FixedPointFormat fmt;
+      fmt.total_bits = read_pod<std::int32_t>(f);
+      fmt.integer_bits = read_pod<std::int32_t>(f);
+      if (!fmt.valid()) {
+        throw std::runtime_error("checkpoint: bad fixed-point record");
       }
+      p->transform =
+          std::make_shared<const compress::FixedPointWeightTransform>(fmt);
+    } else if (kind != 0) {
+      // Kind 2 was the weight-clustering codebook, which this build no
+      // longer has.
+      throw std::runtime_error("checkpoint: unknown transform kind " +
+                               std::to_string(kind) + " in " + path);
     }
     // Everything about this parameter may have changed; invalidate packed
     // weight panels (nn/packed_weights.h).
@@ -166,15 +189,14 @@ Header read_header(std::istream& f, const std::string& path) {
   }
   Header h;
   h.version = read_pod<std::uint32_t>(f);
-  if (h.version < 1 || h.version > kVersion) {
-    throw std::runtime_error("unsupported checkpoint version");
+  if (h.version != kVersion) {
+    throw std::runtime_error("unsupported checkpoint version " +
+                             std::to_string(h.version) + " in " + path);
   }
   h.model_name = read_string(f);
-  if (h.version >= 3) {
-    read_bytes(f, h.payload_hash.bytes.data(), h.payload_hash.bytes.size());
-    read_bytes(f, h.topology_hash.bytes.data(), h.topology_hash.bytes.size());
-    h.payload_size = read_pod<std::uint64_t>(f);
-  }
+  read_bytes(f, h.payload_hash.bytes.data(), h.payload_hash.bytes.size());
+  read_bytes(f, h.topology_hash.bytes.data(), h.topology_hash.bytes.size());
+  h.payload_size = read_pod<std::uint64_t>(f);
   return h;
 }
 
@@ -249,21 +271,21 @@ void load_model_into(nn::Sequential& model, const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
   const Header h = read_header(f, path);
-  if (h.version >= 3) {
-    // Pull the payload into memory and verify its digest before touching
-    // any parameter: a truncated or bit-rotted artifact must fail loudly,
-    // not half-load.
-    std::string payload(static_cast<std::size_t>(h.payload_size), '\0');
-    read_bytes(f, payload.data(), payload.size());
-    if (store::hash_bytes(payload.data(), payload.size()) != h.payload_hash) {
-      throw std::runtime_error("checkpoint payload hash mismatch for " + path +
-                               " (corrupt or truncated artifact)");
-    }
-    std::istringstream ps(payload);
-    load_payload(ps, h.version, model.parameters(), path);
-  } else {
-    load_payload(f, h.version, model.parameters(), path);
+  // Pull the payload into memory and verify its digest before touching any
+  // parameter: a truncated or bit-rotted artifact must fail loudly, not
+  // half-load. The size is checked against the file before it is allocated.
+  if (h.payload_size > bytes_left(f)) {
+    throw std::runtime_error("checkpoint payload larger than the file: " +
+                             path + " (corrupt or truncated artifact)");
   }
+  std::string payload(static_cast<std::size_t>(h.payload_size), '\0');
+  read_bytes(f, payload.data(), payload.size());
+  if (store::hash_bytes(payload.data(), payload.size()) != h.payload_hash) {
+    throw std::runtime_error("checkpoint payload hash mismatch for " + path +
+                             " (corrupt or truncated artifact)");
+  }
+  std::istringstream ps(payload);
+  load_payload(ps, model.parameters(), path);
   // Checkpoints are self-describing: the stored name travels with the
   // weights (a store object's filename is a hash, not a description).
   if (!h.model_name.empty()) model.set_name(h.model_name);

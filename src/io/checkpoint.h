@@ -23,8 +23,9 @@
 //         kind 1: fixed-point  (i32 total_bits | i32 integer_bits)
 //       (Kind 2, a weight-clustering codebook, is retired: loading one
 //       throws std::runtime_error.)
-// Version-1 (no transform records) and version-2 (no hashed header) files
-// still load; they simply skip the integrity check.
+// Only version 3 loads; any other version throws std::runtime_error. So
+// does a payload_size or a tensor shape that claims more bytes than the
+// file holds, before anything is allocated for it.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +41,13 @@ void save_model(nn::Sequential& model, const std::string& path);
 
 // Loads parameter values/masks/transforms into an already-built `model` and
 // adopts the stored model name. Throws if the payload hash does not match
-// (v3) or the checkpoint's parameter names or shapes do not match the
-// model.
+// or the checkpoint's parameter names or shapes do not match the model.
 void load_model_into(nn::Sequential& model, const std::string& path);
 
 // Header fields of a checkpoint, readable without loading the payload.
 struct CheckpointInfo {
   std::uint32_t version = 0;
   std::string model_name;
-  // Zero for pre-v3 files.
   store::Hash payload_hash;
   store::Hash topology_hash;
 };

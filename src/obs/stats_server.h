@@ -1,6 +1,5 @@
 // Live introspection over a unix-domain socket: the "what are you doing
-// right now" endpoint for long sweeps, and the building block the
-// transfer-study daemon (ROADMAP item 2) will reuse for its control plane.
+// right now" endpoint for long sweeps.
 //
 // Protocol (deliberately trivial — `con-stats` or `nc -U` both work): a
 // client connects, the server writes one pretty-printed JSON document and

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "attacks/params.h"
 #include "compress/fixed_point.h"
 #include "core/artifacts.h"
+#include "core/cross_init.h"
 #include "core/study.h"
 #include "core/sweeps.h"
 #include "data/synth_digits.h"
@@ -155,8 +157,9 @@ TEST(Int8ArtifactClosures, IntegerCellsNeverAliasFloatCells) {
   const store::Hash variant = fake_hash("variant-drv");
   AttackParams p{.epsilon = 0.1f, .iterations = 4};
   const auto f8 = compress::FixedPointFormat::paper_format(8);
-  EXPECT_NE(core::integer_cell_derivation(base, variant, ds, 12,
-                                          AttackKind::kIfgsm, p, "cell", f8, f8)
+  EXPECT_NE(core::transfer_cell_derivation(base, variant, ds, 12,
+                                           AttackKind::kIfgsm, p, "cell",
+                                           core::Int8Formats{f8, f8})
                 .hash(),
             core::transfer_cell_derivation(base, variant, ds, 12,
                                            AttackKind::kIfgsm, p, "cell")
@@ -171,33 +174,33 @@ TEST(Int8ArtifactClosures, FormatAxesReaddressIntegerCells) {
   const auto f8 = compress::FixedPointFormat::paper_format(8);
   const auto f4 = compress::FixedPointFormat::paper_format(4);
   const store::Hash cell =
-      core::integer_cell_derivation(base, variant, ds, 12, AttackKind::kIfgsm,
-                                    p, "cell", f8, f8)
+      core::transfer_cell_derivation(base, variant, ds, 12, AttackKind::kIfgsm,
+                                     p, "cell", core::Int8Formats{f8, f8})
           .hash();
-  EXPECT_NE(cell, core::integer_cell_derivation(base, variant, ds, 12,
-                                                AttackKind::kIfgsm, p, "cell",
-                                                f4, f8)
+  EXPECT_NE(cell, core::transfer_cell_derivation(base, variant, ds, 12,
+                                                 AttackKind::kIfgsm, p, "cell",
+                                                 core::Int8Formats{f4, f8})
                       .hash())
       << "the weight format is a closure input of the integer cell";
-  EXPECT_NE(cell, core::integer_cell_derivation(base, variant, ds, 12,
-                                                AttackKind::kIfgsm, p, "cell",
-                                                f8, f4)
+  EXPECT_NE(cell, core::transfer_cell_derivation(base, variant, ds, 12,
+                                                 AttackKind::kIfgsm, p, "cell",
+                                                 core::Int8Formats{f8, f4})
                       .hash())
       << "the activation format is a closure input of the integer cell";
   // The attack axes keep re-addressing exactly as for float cells.
   AttackParams p2{.epsilon = 0.2f, .iterations = 4};
-  EXPECT_NE(cell, core::integer_cell_derivation(base, variant, ds, 12,
-                                                AttackKind::kIfgsm, p2, "cell",
-                                                f8, f8)
+  EXPECT_NE(cell, core::transfer_cell_derivation(base, variant, ds, 12,
+                                                 AttackKind::kIfgsm, p2, "cell",
+                                                 core::Int8Formats{f8, f8})
                       .hash());
-  EXPECT_NE(cell, core::integer_cell_derivation(base, variant, ds, 12,
-                                                AttackKind::kIfgm, p, "cell",
-                                                f8, f8)
+  EXPECT_NE(cell, core::transfer_cell_derivation(base, variant, ds, 12,
+                                                 AttackKind::kIfgm, p, "cell",
+                                                 core::Int8Formats{f8, f8})
                       .hash());
   // Role attrs still break the sorted-input-set symmetry.
-  EXPECT_NE(cell, core::integer_cell_derivation(variant, base, ds, 12,
-                                                AttackKind::kIfgsm, p, "cell",
-                                                f8, f8)
+  EXPECT_NE(cell, core::transfer_cell_derivation(variant, base, ds, 12,
+                                                 AttackKind::kIfgsm, p, "cell",
+                                                 core::Int8Formats{f8, f8})
                       .hash());
 }
 
@@ -264,11 +267,11 @@ TEST(StoredStudy, SecondStudyIsServedFromTheStore) {
 
   core::Study cold(cfg);
   nn::Sequential& trained = cold.baseline();
-  const store::Hash cold_drv = cold.baseline_drv_hash();
+  const store::Hash cold_drv = cold.baseline_artifact().drv;
 
   core::Study warm(cfg);
   nn::Sequential& loaded = warm.baseline();
-  EXPECT_EQ(warm.baseline_drv_hash(), cold_drv);
+  EXPECT_EQ(warm.baseline_artifact().drv, cold_drv);
   EXPECT_EQ(io::model_state_hash(loaded).hex(),
             io::model_state_hash(trained).hex())
       << "a store hit must reproduce the trained state bit-exactly";
@@ -297,6 +300,79 @@ TEST(StoredStudy, FreshInitBaselineIsServedFromTheStore) {
               0)
         << "parameter " << i;
   }
+}
+
+void expect_same_point(const core::ScenarioPoint& a,
+                       const core::ScenarioPoint& b, std::size_t member) {
+  EXPECT_EQ(a.base_accuracy, b.base_accuracy) << "member " << member;
+  EXPECT_EQ(a.comp_to_comp, b.comp_to_comp) << "member " << member;
+  EXPECT_EQ(a.full_to_comp, b.full_to_comp) << "member " << member;
+  EXPECT_EQ(a.comp_to_full, b.comp_to_full) << "member " << member;
+}
+
+TEST(StoredStudy, IntegerSweepMatchesItsCellsAndIsServedWarm) {
+  // The int8 sweep and the single int8 cell share one realiser: computed
+  // cold in two separate stores they agree member by member, and a second
+  // Study on the sweep's store is served without a miss.
+  core::StudyConfig cells_cfg = tiny_config();
+  cells_cfg.store_dir = fresh_store_dir("int8_cells");
+  core::StudyConfig sweep_cfg = tiny_config();
+  sweep_cfg.store_dir = fresh_store_dir("int8_sweep");
+  const AttackParams params{.epsilon = 0.02f, .iterations = 2};
+
+  core::Study cells_study(cells_cfg);
+  std::vector<core::ModelArtifact> cells_family =
+      core::build_quantized_family(cells_study, {4, 8});
+  core::Study sweep_study(sweep_cfg);
+  std::vector<core::ModelArtifact> family =
+      core::build_quantized_family(sweep_study, {4, 8});
+  const std::vector<core::ScenarioPoint> cold = core::sweep_scenarios_integer(
+      sweep_study, family, AttackKind::kIfgsm, params);
+  ASSERT_EQ(cold.size(), 2u);
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    expect_same_point(core::evaluate_scenarios_integer_stored(
+                          cells_study, cells_family[i], AttackKind::kIfgsm,
+                          params),
+                      cold[i], i);
+  }
+  EXPECT_TRUE(std::filesystem::is_symlink(
+      sweep_cfg.store_dir + "/roots/sweep-int8-lenet5-small-ifgsm"));
+
+  const std::uint64_t misses = obs::counter("store.miss").value();
+  core::Study warm(sweep_cfg);
+  std::vector<core::ModelArtifact> warm_family =
+      core::build_quantized_family(warm, {4, 8});
+  const std::vector<core::ScenarioPoint> served =
+      core::sweep_scenarios_integer(warm, warm_family, AttackKind::kIfgsm,
+                                    params);
+  EXPECT_EQ(obs::counter("store.miss").value(), misses);
+  ASSERT_EQ(served.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    expect_same_point(served[i], cold[i], i);
+  }
+}
+
+TEST(StoredStudy, WarmCrossInitCraftsNothing) {
+  // Both trainings and both directions' DeepFool batches are store
+  // derivations: a second run on the store crafts no attack chunk and
+  // reports the same rates.
+  core::StudyConfig cfg = tiny_config();
+  cfg.store_dir = fresh_store_dir("xinit");
+  const AttackParams params =
+      attacks::paper_params(AttackKind::kDeepFool, cfg.network);
+  core::Study cold(cfg);
+  const core::CrossInitResult first = core::cross_init_transferability(
+      cold, AttackKind::kDeepFool, params, 1001, 2002);
+
+  const std::uint64_t chunks = obs::counter("attack.chunks").value();
+  core::Study warm(cfg);
+  const core::CrossInitResult second = core::cross_init_transferability(
+      warm, AttackKind::kDeepFool, params, 1001, 2002);
+  EXPECT_EQ(obs::counter("attack.chunks").value(), chunks);
+  EXPECT_EQ(second.accuracy_a, first.accuracy_a);
+  EXPECT_EQ(second.accuracy_b, first.accuracy_b);
+  EXPECT_EQ(second.transfer_a_to_b, first.transfer_a_to_b);
+  EXPECT_EQ(second.transfer_b_to_a, first.transfer_b_to_a);
 }
 
 TEST(StoredStudy, ZeroDrvVariantIsRejected) {

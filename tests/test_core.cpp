@@ -194,7 +194,10 @@ TEST_F(StudyTest, ScenarioEvaluationSelfConsistency) {
   ScenarioPoint p = evaluate_scenarios(
       study_->baseline(), copy, attacks::AttackKind::kIfgsm, params,
       study_->attack_set(),
-      study_->baseline_adversarial(attacks::AttackKind::kIfgsm, params));
+      study_
+          ->adversarial(study_->baseline_artifact(),
+                        attacks::AttackKind::kIfgsm, params)
+          .images);
   EXPECT_DOUBLE_EQ(p.comp_to_comp, p.comp_to_full);
   EXPECT_DOUBLE_EQ(p.comp_to_comp, p.full_to_comp);
   EXPECT_LT(p.comp_to_comp, p.base_accuracy);
@@ -214,8 +217,12 @@ TEST_F(StudyTest, AdversarialAccuracyBelowClean) {
 TEST_F(StudyTest, TransferRateBetweenIdenticalModelsIsTotal) {
   nn::Sequential copy = study_->baseline().clone();
   const double rate = transfer_rate(
-      study_->baseline(), copy, attacks::AttackKind::kIfgsm,
-      attacks::AttackParams{.epsilon = 0.05f, .iterations = 6},
+      study_->baseline(), copy,
+      study_
+          ->adversarial(
+              study_->baseline_artifact(), attacks::AttackKind::kIfgsm,
+              attacks::AttackParams{.epsilon = 0.05f, .iterations = 6})
+          .images,
       study_->attack_set());
   EXPECT_DOUBLE_EQ(rate, 1.0);
 }

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "compress/fixed_point.h"
 #include "compress/pruner.h"
@@ -132,24 +134,40 @@ void write_text(const std::string& path, const std::string& bytes) {
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Writes a version-2 checkpoint (no hashed header) of `model` by hand, with
-// a fixed-point transform record `fmt` on the first parameter.
-void write_v2_with_fixed_point(nn::Sequential& model, const std::string& path,
-                               compress::FixedPointFormat fmt) {
+// A version-3 checkpoint of `model`, built by hand with a correct payload
+// hash, carrying the transform record `record` (kind byte and fields) on
+// the first parameter.
+std::string v3_checkpoint(nn::Sequential& model, const std::string& record) {
+  const std::string payload = payload_with_record(model, record);
+  const store::Hash payload_hash =
+      store::hash_bytes(payload.data(), payload.size());
+  const store::Hash topology = topology_signature(model);
+  std::string file = "CONM";
+  append_pod(file, std::uint32_t{3});
+  append_string(file, model.name());
+  file.append(reinterpret_cast<const char*>(payload_hash.bytes.data()),
+              payload_hash.bytes.size());
+  file.append(reinterpret_cast<const char*>(topology.bytes.data()),
+              topology.bytes.size());
+  append_pod(file, static_cast<std::uint64_t>(payload.size()));
+  return file + payload;
+}
+
+// Writes a checkpoint of `model` with a fixed-point transform record `fmt`
+// on the first parameter.
+void write_with_fixed_point(nn::Sequential& model, const std::string& path,
+                            compress::FixedPointFormat fmt) {
   std::string record;
   append_pod(record, std::uint8_t{1});
   append_pod(record, static_cast<std::int32_t>(fmt.total_bits));
   append_pod(record, static_cast<std::int32_t>(fmt.integer_bits));
-  std::string file = "CONM";
-  append_pod(file, std::uint32_t{2});
-  append_string(file, model.name());
-  write_text(path, file + payload_with_record(model, record));
+  write_text(path, v3_checkpoint(model, record));
 }
 
 TEST_F(IoTest, FixedPointRecordIsValidated) {
   nn::Sequential m = models::make_lenet5_small(12);
-  write_v2_with_fixed_point(m, path_,
-                            compress::FixedPointFormat::paper_format(8));
+  write_with_fixed_point(m, path_,
+                         compress::FixedPointFormat::paper_format(8));
   load_model_into(m, path_);
   const auto* fp = dynamic_cast<const compress::FixedPointWeightTransform*>(
       m.parameters()[0]->transform.get());
@@ -159,7 +177,7 @@ TEST_F(IoTest, FixedPointRecordIsValidated) {
        {compress::FixedPointFormat{.total_bits = 200, .integer_bits = 4},
         compress::FixedPointFormat{.total_bits = 8, .integer_bits = 0},
         compress::FixedPointFormat{.total_bits = 8, .integer_bits = 8}}) {
-    write_v2_with_fixed_point(m, path_, bad);
+    write_with_fixed_point(m, path_, bad);
     EXPECT_THROW(load_model_into(m, path_), std::runtime_error)
         << bad.total_bits << "/" << bad.integer_bits;
   }
@@ -174,21 +192,56 @@ TEST_F(IoTest, RetiredClusterRecordThrows) {
   append_pod(record, std::int32_t{2});
   append_pod(record, std::uint64_t{4});
   for (float c : {-0.5f, 0.0f, 0.25f, 0.5f}) append_pod(record, c);
+  write_text(path_, v3_checkpoint(m, record));
   const std::string payload = payload_with_record(m, record);
-  const store::Hash payload_hash =
-      store::hash_bytes(payload.data(), payload.size());
-  const store::Hash topology = topology_signature(m);
-  std::string file = "CONM";
-  append_pod(file, std::uint32_t{3});
-  append_string(file, m.name());
-  file.append(reinterpret_cast<const char*>(payload_hash.bytes.data()),
-              payload_hash.bytes.size());
-  file.append(reinterpret_cast<const char*>(topology.bytes.data()),
-              topology.bytes.size());
-  append_pod(file, static_cast<std::uint64_t>(payload.size()));
-  write_text(path_, file + payload);
-  EXPECT_EQ(read_checkpoint_info(path_).payload_hash, payload_hash);
+  EXPECT_EQ(read_checkpoint_info(path_).payload_hash,
+            store::hash_bytes(payload.data(), payload.size()));
   EXPECT_THROW(load_model_into(m, path_), std::runtime_error);
+}
+
+TEST_F(IoTest, OnlyVersion3Loads) {
+  // Versions 1 and 2 (no hashed header) are no longer read.
+  nn::Sequential m = models::make_lenet5_small(14);
+  std::string file = v3_checkpoint(m, std::string(1, '\0'));
+  write_text(path_, file);
+  load_model_into(m, path_);
+  for (std::uint32_t version : {1u, 2u, 4u}) {
+    std::memcpy(file.data() + 4, &version, sizeof(version));
+    write_text(path_, file);
+    EXPECT_THROW(load_model_into(m, path_), std::runtime_error) << version;
+    EXPECT_THROW(read_checkpoint_info(path_), std::runtime_error) << version;
+  }
+}
+
+TEST_F(IoTest, PayloadSizeBeyondFileRejected) {
+  // A corrupt header's payload_size is checked against the file before the
+  // payload buffer is allocated.
+  nn::Sequential m = models::make_lenet5_small(15);
+  std::string file = v3_checkpoint(m, std::string(1, '\0'));
+  const std::size_t size_at = 4 + 4 + 8 + m.name().size() + 2 * 32;
+  const std::uint64_t actual = file.size() - size_at - sizeof(std::uint64_t);
+  for (std::uint64_t claimed : {actual + 1, std::uint64_t{1} << 62}) {
+    std::memcpy(file.data() + size_at, &claimed, sizeof(claimed));
+    write_text(path_, file);
+    EXPECT_THROW(load_model_into(m, path_), std::runtime_error) << claimed;
+  }
+}
+
+TEST_F(IoTest, TensorShapeBeyondFileRejected) {
+  // Each dimension passes the per-dimension bound. [2^28, 2^28, 256] has
+  // an element count that overflows int64 (Shape::numel() reads 0);
+  // [1000, 1000] does not overflow, but 8 bytes of data follow, not 4 MB.
+  for (const std::vector<std::int64_t>& dims :
+       {std::vector<std::int64_t>{1 << 28, 1 << 28, 256},
+        std::vector<std::int64_t>{1000, 1000}}) {
+    std::string body;
+    append_pod(body, static_cast<std::uint32_t>(dims.size()));
+    for (std::int64_t d : dims) append_pod(body, d);
+    append_pod(body, 1.0f);
+    append_pod(body, 2.0f);
+    write_text(path_, body);
+    EXPECT_THROW(load_tensor(path_), std::runtime_error) << dims.size();
+  }
 }
 
 TEST_F(IoTest, MissingFileThrows) {
@@ -212,7 +265,7 @@ TEST_F(IoTest, FileExists) {
   EXPECT_TRUE(file_exists(path_));
 }
 
-// ---- checkpoint v2 transform records ---------------------------------------
+// ---- transform records (CheckpointV2: they arrived with version 2) --------
 
 TEST(CheckpointV2, FixedPointTransformSurvivesRoundTrip) {
   nn::Sequential a = compress::quantize_model(
