@@ -9,9 +9,11 @@
 // default <artifacts>/store) and are shared across figures via core::Study.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -76,6 +78,19 @@ struct BenchSetup {
   util::Timer run_timer;
 };
 
+// Accepted ranges of the integer flags: a value outside its range throws
+// std::invalid_argument naming the flag, instead of being truncated to the
+// field's type or failing deep inside the tensor code.
+inline constexpr std::int64_t kMaxSamples = 1'000'000;
+inline constexpr int kMaxEpochs = 10'000;
+inline constexpr int kMaxIntervalMs = 3'600'000;
+
+// --threads: 0 means hardware concurrency.
+inline std::size_t parse_threads(util::CliFlags& flags) {
+  return flags.get_int("threads", std::size_t{0}, 0,
+                       util::ThreadPool::kMaxThreads);
+}
+
 // Parse only the observability flags (--trace <path>, --manifest,
 // --no-metrics, --telemetry <path>, --telemetry-interval <ms>,
 // --stats-socket <path>) plus --kernel <scalar|avx2> — the subset
@@ -89,12 +104,7 @@ inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
   obs::set_metrics(flags.get_bool("metrics", true));
   setup.telemetry_path = flags.get_string("telemetry", "");
   const int interval_ms =
-      static_cast<int>(flags.get_int("telemetry-interval", 200));
-  if (interval_ms <= 0) {
-    throw std::invalid_argument(
-        "--telemetry-interval: expected a positive millisecond count, got " +
-        std::to_string(interval_ms));
-  }
+      flags.get_int("telemetry-interval", 200, 1, kMaxIntervalMs);
   if (flags.has("telemetry-interval") && setup.telemetry_path.empty()) {
     throw std::invalid_argument(
         "--telemetry-interval: meaningless without --telemetry <path>");
@@ -230,8 +240,7 @@ inline BenchSetup parse_common(util::CliFlags& flags,
                                const std::string& default_network =
                                    "lenet5-small",
                                const std::set<std::string>& figure_flags = {}) {
-  util::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(flags.get_int("threads", 0)));
+  util::ThreadPool::set_global_threads(parse_threads(flags));
   BenchSetup setup = parse_obs_flags(flags);
   setup.paper_scale = flags.get_bool("paper-scale", false);
   setup.network_explicit = flags.has("network");
@@ -244,14 +253,16 @@ inline BenchSetup parse_common(util::CliFlags& flags,
   cfg.attack_size = setup.paper_scale ? 500 : 100;
   cfg.baseline_epochs = default_epochs(setup.paper_scale, cfg.network);
   cfg.finetune.epochs = setup.paper_scale ? 6 : 2;
-  cfg.train_size = flags.get_int("train-size", cfg.train_size);
-  cfg.test_size = flags.get_int("test-size", cfg.test_size);
-  cfg.attack_size = flags.get_int("attack-size", cfg.attack_size);
+  cfg.train_size = flags.get_int("train-size", cfg.train_size, 1, kMaxSamples);
+  cfg.test_size = flags.get_int("test-size", cfg.test_size, 1, kMaxSamples);
+  cfg.attack_size =
+      flags.get_int("attack-size", cfg.attack_size, 1, kMaxSamples);
   cfg.baseline_epochs =
-      static_cast<int>(flags.get_int("epochs", cfg.baseline_epochs));
-  cfg.finetune.epochs = static_cast<int>(
-      flags.get_int("finetune-epochs", cfg.finetune.epochs));
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+      flags.get_int("epochs", cfg.baseline_epochs, 0, kMaxEpochs);
+  cfg.finetune.epochs =
+      flags.get_int("finetune-epochs", cfg.finetune.epochs, 0, kMaxEpochs);
+  cfg.seed = flags.get_int("seed", std::uint64_t{42}, 0,
+                           std::numeric_limits<std::int64_t>::max());
   // --store DIR points the run at a shared artifact store; unset, the
   // study resolves $CON_STORE_DIR or <artifacts>/store.
   cfg.store_dir = flags.get_string("store", "");
@@ -260,21 +271,24 @@ inline BenchSetup parse_common(util::CliFlags& flags,
   return setup;
 }
 
-// Record the store identity of the baseline a Study resolved to, so the
+// Record the store identity of the baseline a Study has realised, so the
 // manifest pins down exactly which artifacts the run used: the derivation
 // hash covers the full input closure (network, seed, sizes, epochs, batch
 // size, dataset content and initial weights). Keyed per network, and
 // recorded once per network: a network's baseline epochs resolve the same
 // way in every figure, and a figure's config transform touches only
 // fine-tuning, so one run never trains two baselines of one network at
-// config().seed. Realises the baseline if it has not been yet.
+// config().seed. Records nothing for a study that never realised its
+// baseline (X1 uses only its trained_baseline(seed) pair), and never
+// trains one itself.
 inline void record_study(BenchSetup& setup, core::Study& study) {
+  const core::ModelArtifact* baseline = study.realised_baseline();
+  if (baseline == nullptr) return;
   const std::string key = "baseline_drv." + study.config().network;
-  const std::string hex = study.baseline_artifact().drv.hex();
   for (const auto& [name, value] : setup.run.config) {
     if (name == key) return;
   }
-  setup.run.config.emplace_back(key, obs::Json(hex));
+  setup.run.config.emplace_back(key, obs::Json(baseline->drv.hex()));
   setup.run.config.emplace_back("store_root." + study.config().network,
                                 obs::Json(study.store().root()));
 }

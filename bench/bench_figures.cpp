@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 
 #include "attacks/params.h"
 #include "bench_common.h"
@@ -90,6 +91,9 @@ struct Run {
   const Figure& figure;
   Register& claims;
   std::string panel;  // the network/attack the next checks belong to
+  // The studies the row built; they live until the row has finished, so
+  // the driver can record each baseline the row realised.
+  std::vector<std::unique_ptr<core::Study>> studies;
 
   const bench::FigureFlags& flags() const { return setup.figure; }
 
@@ -105,7 +109,7 @@ struct Run {
     return {setup.network_explicit ? setup.study.network : figure.network};
   }
 
-  core::Study study(const std::string& net) {
+  core::Study& study(const std::string& net) {
     core::StudyConfig cfg = setup.study;
     cfg.network = net;
     if (!setup.epochs_explicit) {
@@ -117,11 +121,9 @@ struct Run {
     append_config(key + "network", obs::Json(net));
     append_config(key + "epochs", obs::Json(cfg.baseline_epochs));
     append_config(key + "finetune_epochs", obs::Json(cfg.finetune.epochs));
-    core::Study study(cfg);
-    bench::record_study(setup, study);
-    return study;
+    return *studies.emplace_back(std::make_unique<core::Study>(cfg));
   }
-  core::Study study() { return study(networks().front()); }
+  core::Study& study() { return study(networks().front()); }
 
   // Appends `value` to the manifest config array `key`, creating it.
   void append_config(const std::string& key, obs::Json value) {
@@ -232,7 +234,7 @@ void figure2(Run& run) {
   std::printf("== Figure 2: transferability under pruning (%s) ==\n",
               f.one_shot ? "one-shot" : "dynamic network surgery");
   for (const std::string& net : run.networks()) {
-    core::Study study = run.study(net);
+    core::Study& study = run.study(net);
     const double dense_acc = study.baseline_accuracy();
     std::printf("\nnetwork %s: baseline accuracy %.3f\n", net.c_str(),
                 dense_acc);
@@ -268,7 +270,7 @@ void figure2(Run& run) {
 // F3: baseline accuracy under IFGSM/IFGM vs epsilon and vs iterations —
 // the paper's grounds for its Table 1 choices.
 void figure3(Run& run) {
-  core::Study study = run.study();
+  core::Study& study = run.study();
   const core::ModelArtifact& base = study.baseline_artifact();
   const data::Dataset& probes = study.attack_set();
   std::printf("== Figure 3: %s accuracy vs attack strength ==\n",
@@ -324,7 +326,7 @@ void figure3(Run& run) {
 // F4: each pruned model's clean accuracy against its FULL->COMP accuracy,
 // and the mild protection the paper reads off at the preferred density.
 void figure4(Run& run) {
-  core::Study study = run.study();
+  core::Study& study = run.study();
   const std::string net = study.config().network;
   const double dense_acc = study.baseline_accuracy();
   std::printf("== Figure 4: %s base vs adversarial accuracy (pruning) ==\n",
@@ -375,7 +377,7 @@ void figure5(Run& run) {
               "(%s) ==\n",
               f.act_quant ? "weights + activations" : "weights only");
   for (const std::string& net : run.networks()) {
-    core::Study study = run.study(net);
+    core::Study& study = run.study(net);
     std::printf("\nnetwork %s: baseline accuracy %.3f\n", net.c_str(),
                 study.baseline_accuracy());
     const auto family =
@@ -424,7 +426,7 @@ void figure5(Run& run) {
 void figure6(Run& run) {
   const std::vector<int> bitwidths =
       run.flags().bitwidths.value_or(std::vector<int>{4, 8, 16, 32});
-  core::Study study = run.study();
+  core::Study& study = run.study();
   std::printf("== Figure 6: weight/activation CDFs of quantised %s ==\n",
               study.config().network.c_str());
   std::printf("baseline accuracy %.3f\n", study.baseline_accuracy());
@@ -506,7 +508,7 @@ void cross_init(Run& run) {
                  "transfer_B_to_A"});
   double lenet_rate = -1.0, cifar_rate = -1.0;
   for (const std::string& net : run.networks()) {
-    core::Study study = run.study(net);
+    core::Study& study = run.study(net);
     const core::CrossInitResult r = core::cross_init_transferability(
         study, AttackKind::kDeepFool,
         attacks::paper_params(AttackKind::kDeepFool, net), /*seed_a=*/1001,
@@ -537,7 +539,7 @@ void cross_init(Run& run) {
 // A1: dynamic network surgery against one-shot (Han-style) pruning at
 // matched densities: clean accuracy and IFGSM FULL->COMP side by side.
 void ablation_pruner(Run& run) {
-  core::Study study = run.study();
+  core::Study& study = run.study();
   const std::string net = study.config().network;
   std::printf("== Ablation: DNS vs one-shot pruning on %s ==\n", net.c_str());
   std::printf("dense baseline accuracy %.3f\n", study.baseline_accuracy());
@@ -576,7 +578,7 @@ void ablation_pruner(Run& run) {
 // A2 (§4.2 mechanism): weight-only against weight+activation quantisation
 // at 4 and 8 bits under IFGSM.
 void ablation_actquant(Run& run) {
-  core::Study study = run.study();
+  core::Study& study = run.study();
   const std::string net = study.config().network;
   std::printf("== Ablation: weight-only vs weight+activation quantisation "
               "(%s) ==\n",
@@ -621,7 +623,7 @@ void ablation_actquant(Run& run) {
 // against COMP->FULL transfer strength over a density sweep; similar
 // feature spaces should transfer more.
 void feature_space(Run& run) {
-  core::Study study = run.study();
+  core::Study& study = run.study();
   const std::string net = study.config().network;
   const double dense_acc = study.baseline_accuracy();
   std::printf("== Feature-space similarity vs transferability (%s) ==\n",
@@ -726,8 +728,9 @@ int main(int argc, char** argv) {
 
   Register claims;
   for (const Figure* fig : figures) {
-    Run run{setup, *fig, claims, ""};
+    Run run{setup, *fig, claims, "", {}};
     fig->run(run);
+    for (const auto& study : run.studies) bench::record_study(setup, *study);
     std::printf("\n");
   }
 

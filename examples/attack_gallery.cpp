@@ -47,14 +47,16 @@ void print_image_pair(const tensor::Tensor& clean, const tensor::Tensor& adv,
 int main(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
-  util::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(flags.get_int("threads", 0)));
+  util::ThreadPool::set_global_threads(bench::parse_threads(flags));
   core::StudyConfig cfg;
   cfg.network = flags.get_string("network", "lenet5-small");
-  cfg.train_size = flags.get_int("train-size", 1500);
-  cfg.test_size = flags.get_int("test-size", 300);
-  cfg.attack_size = flags.get_int("samples", 60);
-  cfg.baseline_epochs = static_cast<int>(flags.get_int("epochs", 6));
+  cfg.train_size =
+      flags.get_int("train-size", tensor::Index{1500}, 1, bench::kMaxSamples);
+  cfg.test_size =
+      flags.get_int("test-size", tensor::Index{300}, 1, bench::kMaxSamples);
+  cfg.attack_size =
+      flags.get_int("samples", tensor::Index{60}, 1, bench::kMaxSamples);
+  cfg.baseline_epochs = flags.get_int("epochs", 6, 0, bench::kMaxEpochs);
   cfg.store_dir = flags.get_string("store", "");
   flags.check_unused();
 

@@ -132,7 +132,6 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
   static obs::Distribution& active =
       obs::dist("attack.deepfool.active_rows");
   int it = 0;
-  // conlint:hotpath begin
   while (!rows.empty() && it < params.iterations) {
     iters.add(1);
     active.record(static_cast<double>(rows.size()));
@@ -140,7 +139,6 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
     // as in the reference implementation.
     tensor::add_scaled_into(xi, x0, r, 1.0f + overshoot);
     tensor::clamp_inplace(xi, 0.0f, 1.0f);
-    // conlint:allow(hot-path-alloc): forward output is produced fresh by the model; its size shrinks with the active set
     Tensor logits = model.forward(xi, /*train=*/false, tape);
     if (logits.dim(1) != num_classes) {
       throw std::invalid_argument("deepfool: class count mismatch");
@@ -164,7 +162,6 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
         if (pred != labels[static_cast<std::size_t>(rows[j])]) {
           finalise(j, it);
         } else {
-          // conlint:allow(hot-path-alloc): keep is cleared and reused; capacity is steady after the first iteration
           keep.push_back(static_cast<Index>(j));
         }
       }
@@ -201,7 +198,6 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
     // K batched backwards against the one forward tape: one-hot column k
     // seeds ∇ₓf_k for every row at once. The seed tensor is reused: each
     // pass clears the previous column before setting its own.
-    // conlint:allow(hot-path-alloc): resize only fires when the active set shrank; shrinking reuses capacity
     if (seed.shape() != logits.shape()) seed.resize(logits.shape());
     float* sd = seed.data();
     for (int k = 0; k < num_classes; ++k) {
@@ -270,14 +266,12 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
       for (Index i = 0; i < per_sample; ++i) {
         rp[i] += coeff * (gk[i] - gy[i]);
       }
-      // conlint:allow(hot-path-alloc): keep2 is cleared and reused; capacity is steady after the first iteration
       keep2.push_back(static_cast<Index>(j));
     }
     ++it;
 
     if (keep2.size() != rows.size()) compact_live(keep2);
   }
-  // conlint:hotpath end
   // Rows that survived every iteration exhaust the budget, exactly like the
   // reference loop falling out of its for.
   for (std::size_t j = 0; j < rows.size(); ++j) finalise(j, it);

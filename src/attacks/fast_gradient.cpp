@@ -60,11 +60,9 @@ void fast_gradient_range(const nn::Sequential& model, const Tensor& images,
   static obs::Counter& steps = obs::counter("attack.fast_gradient.steps");
   static obs::Distribution& step_time =
       obs::dist("attack.fast_gradient.step_ns");
-  // conlint:hotpath begin
   for (int it = 0; it < params.iterations; ++it) {
     obs::ScopedTimer step_timer(step_time);
     steps.add(1);
-    // conlint:allow(hot-path-alloc): the autograd API returns a fresh gradient tensor per step by contract; measured flat against the GEMM cost
     grad = loss_input_gradient(model, adv, chunk_labels, tape);
     tensor::scale_inplace(grad, batch_scale);
     const float* g = grad.data();
@@ -88,7 +86,6 @@ void fast_gradient_range(const nn::Sequential& model, const Tensor& images,
       x[i] = v;
     }
   }
-  // conlint:hotpath end
 }
 
 }  // namespace con::attacks

@@ -67,6 +67,10 @@ class Study {
   // artifact hangs off.
   ModelArtifact& baseline_artifact();
   nn::Sequential& baseline() { return baseline_artifact().model; }
+  // The baseline if baseline_artifact() has realised it, else null.
+  const ModelArtifact* realised_baseline() const {
+    return baseline_ ? &*baseline_ : nullptr;
+  }
 
   // Clean test accuracy of the baseline.
   double baseline_accuracy();

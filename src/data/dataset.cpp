@@ -1,17 +1,13 @@
 #include "data/dataset.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/ops.h"
 
 namespace con::data {
 
-int Dataset::num_classes() const {
-  int k = 0;
-  for (int y : labels) k = std::max(k, y + 1);
-  return k;
-}
+int Dataset::num_classes() const { return classes; }
 
 Dataset Dataset::take(Index n) const {
   if (n < 0 || n > size()) {
@@ -25,6 +21,7 @@ Dataset Dataset::take(Index n) const {
     tensor::set_batch(out.images, i, tensor::slice_batch(images, i));
   }
   out.labels.assign(labels.begin(), labels.begin() + n);
+  out.classes = classes;
   return out;
 }
 

@@ -16,9 +16,13 @@ using tensor::Tensor;
 
 struct Dataset {
   Tensor images;            // [N, C, H, W], values in [0, 1]
-  std::vector<int> labels;  // N class ids
+  std::vector<int> labels;  // N class ids in [0, classes)
+  int classes = 0;          // the generator's declared class count
 
   Index size() const { return images.empty() ? 0 : images.dim(0); }
+  // The declared class count — what a classifier trained on the generator
+  // has logits for — not the largest label present: a subset that lacks
+  // the top class keeps it.
   int num_classes() const;
 
   // First `n` samples as a new dataset (used to carve attack subsets).

@@ -110,6 +110,7 @@ TrainTestSplit make_synth_digits(const SynthDigitsConfig& config) {
   auto build = [&](Index n, con::util::Rng& rng) {
     Dataset ds;
     ds.images = Tensor({n, 1, kDigitImageSize, kDigitImageSize});
+    ds.classes = kDigitClasses;
     ds.labels.resize(static_cast<std::size_t>(n));
     for (Index i = 0; i < n; ++i) {
       const int digit = static_cast<int>(i % kDigitClasses);

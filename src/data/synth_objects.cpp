@@ -134,6 +134,7 @@ TrainTestSplit make_synth_objects(const SynthObjectsConfig& config) {
   auto build = [&](Index n, con::util::Rng& rng) {
     Dataset ds;
     ds.images = Tensor({n, 3, kObjectImageSize, kObjectImageSize});
+    ds.classes = kObjectClasses;
     ds.labels.resize(static_cast<std::size_t>(n));
     for (Index i = 0; i < n; ++i) {
       const int cls = static_cast<int>(i % kObjectClasses);

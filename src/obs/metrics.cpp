@@ -13,7 +13,6 @@ namespace detail {
 std::atomic<bool> g_metrics{true};
 }  // namespace detail
 
-// conlint:lockfree(writes the standalone enable flag; record sites poll it and tolerate one stale observation)
 void set_metrics(bool enabled) {
   detail::g_metrics.store(enabled, std::memory_order_relaxed);
 }
@@ -22,14 +21,12 @@ namespace {
 
 // CAS loops instead of std::atomic<double>::fetch_add so the same code
 // serves min/max and stays portable across libstdc++ versions.
-// conlint:lockfree(single-slot CAS retry loop; the CAS itself carries the atomicity, no cross-slot ordering is needed)
 void atomic_add(std::atomic<double>& a, double x) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
   }
 }
 
-// conlint:lockfree(single-slot CAS retry loop; the CAS itself carries the atomicity, no cross-slot ordering is needed)
 void atomic_min(std::atomic<double>& a, double x) {
   double cur = a.load(std::memory_order_relaxed);
   while (x < cur &&
@@ -37,7 +34,6 @@ void atomic_min(std::atomic<double>& a, double x) {
   }
 }
 
-// conlint:lockfree(single-slot CAS retry loop; the CAS itself carries the atomicity, no cross-slot ordering is needed)
 void atomic_max(std::atomic<double>& a, double x) {
   double cur = a.load(std::memory_order_relaxed);
   while (x > cur &&

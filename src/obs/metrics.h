@@ -35,13 +35,11 @@ namespace detail {
 extern std::atomic<bool> g_metrics;
 }  // namespace detail
 
-// conlint:lockfree(single on/off flag polled per record; a stale read only delays enable/disable by one observation)
 inline bool metrics_enabled() {
   return detail::g_metrics.load(std::memory_order_relaxed);
 }
 void set_metrics(bool enabled);
 
-// conlint:lockfree(monotonic tally on one atomic slot; readers tolerate stale totals and nothing synchronises-with a bump)
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
@@ -68,7 +66,6 @@ class Counter {
 // bucket counts are integer sums and double sums of integers below 2^53
 // are exact in any order, extending the counter determinism contract to
 // shape, not just totals.
-// conlint:lockfree(independent per-field accumulators; snapshots tolerate torn cross-field reads, per-field sums stay exact)
 class Distribution {
  public:
   static constexpr std::size_t kBuckets = 64;

@@ -74,7 +74,6 @@ void copy_name(char* dst, const char* name, const std::string* base) {
 
 }  // namespace
 
-// conlint:lockfree(writes the standalone enable flag; event sites poll it and tolerate one stale observation)
 void set_tracing(bool enabled) {
   trace_origin();  // latch the origin before the first event
   detail::g_tracing.store(enabled, std::memory_order_relaxed);

@@ -36,7 +36,6 @@ extern std::atomic<bool> g_tracing;
 
 // ---- global switches --------------------------------------------------------
 
-// conlint:lockfree(single on/off flag polled per event; a stale read only delays enable/disable by one event)
 inline bool tracing_enabled() {
   return detail::g_tracing.load(std::memory_order_relaxed);
 }

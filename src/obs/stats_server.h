@@ -22,7 +22,6 @@
 
 namespace con::obs {
 
-// conlint:lockfree(stop flag and request tally are independent single slots; the poll loop re-checks within 100ms and the join in stop() is the real synchronisation point)
 class StatsServer {
  public:
   struct Info {

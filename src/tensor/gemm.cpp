@@ -266,7 +266,6 @@ struct Requant {
   Index plane = 0;
 };
 
-// conlint:hotpath begin
 // Calls f(img, p, off, len) for each run of the columns [j0, j0+jn) that
 // lies in one image of `plane` columns: pixels [p, p+len) of image img are
 // the columns [off, off+len) counted from j0.
@@ -798,7 +797,6 @@ void int8_product(const PackedInt8A& a, const Int8Source& b, Index n,
   Int8Tile::counter(kt.isa).add(1);
   panel_loop<Int8Tile>(kt, a, b, n, kNC, c, epi);
 }
-// conlint:hotpath end
 
 PackedMatrix pack_impl(const float* src, Index rows, Index depth,
                        bool row_major, Index strip) {
@@ -982,7 +980,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 
 // ---- Convolution: panels lowered straight from the NCHW input -------------
 
-// conlint:hotpath begin
 namespace {
 
 // The weight gradient's left operand: the NCHW output gradient `go`
@@ -1092,7 +1089,6 @@ void conv2d_tn(const PackedMatrix& a, const float* grad_out, Index batch,
   const ConvEpilogue epi{.plane = plane, .dx = dx, .g = &g};
   gemm_blocked<NnTile>(a, bs, n, nullptr, &epi);
 }
-// conlint:hotpath end
 
 // ---- int8: the same panel loop over Int8Tile -------------------------------
 
@@ -1104,7 +1100,6 @@ PackedInt8B pack_int8_b(const std::int8_t* codes, Index rows, Index depth) {
   return pack_pairs<std::int8_t, kStripBInt8>(codes, rows, depth);
 }
 
-// conlint:hotpath begin
 void matmul_int8(const PackedInt8A& a, const PackedInt8B& b, std::int32_t* c) {
   int8_product(a, Int8Source{.packed = &b}, b.rows, c, nullptr);
 }
@@ -1132,7 +1127,6 @@ void conv2d_int8(const PackedInt8A& a, const std::int8_t* x, Index batch,
                    .scale = scale, .y = y, .plane = g.out_h() * g.out_w()};
   int8_product(a, Int8Source{.conv = &low}, n, nullptr, &rq);
 }
-// conlint:hotpath end
 
 void quantize_codes(std::int8_t* dst, const float* src, float inv_step,
                     float lo, float hi, Index n) {

@@ -5,8 +5,8 @@
 // (cpuid via __builtin_cpu_supports on x86-64). Resolution is idempotent,
 // so a first-use race between threads is benign: both resolve the same
 // pointer. After that every lookup is a single relaxed load; nothing on
-// the dispatch path allocates (the hot-path-alloc conlint region below
-// pins this statically, tests/test_kernels.cpp pins it dynamically).
+// the dispatch path allocates (tests/test_kernels.cpp pins the tensor
+// buffers, tests/test_heap.cpp every heap allocation of the GEMM callers).
 #include "tensor/kernels/dispatch.h"
 
 #include <atomic>
@@ -122,17 +122,14 @@ Isa resolve_env_request(const char* value) {
   return want;
 }
 
-// conlint:hotpath begin
 const KernelTable& active() {
   const KernelTable* t = g_active.load(std::memory_order_acquire);
   if (t == nullptr) {
-    // conlint:allow(hot-path-alloc): one-time table resolution on the first call; every later call takes the cached-pointer branch
     t = resolve_initial();
     g_active.store(t, std::memory_order_release);
   }
   return *t;
 }
-// conlint:hotpath end
 
 Isa active_isa() { return active().isa; }
 

@@ -38,8 +38,6 @@ namespace con::tensor::kernels {
 
 namespace {
 
-// conlint:hotpath begin
-
 // Float register-tile kernel, MR=4 (gemm::kStripA), NR=8 (gemm::kStripB).
 // Eight ymm accumulators: rows 0..3 × {even k, odd k}. The zero-skip
 // contract of the scalar kernel is preserved by arithmetic instead of
@@ -727,8 +725,6 @@ void maxpool2x2_avx2(float* out, Index* idx, const float* in, Index planes,
     }
   }
 }
-
-// conlint:hotpath end
 
 }  // namespace
 

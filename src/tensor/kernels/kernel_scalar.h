@@ -27,7 +27,6 @@ namespace con::tensor::kernels::scalar {
 // runs the dense loop; otherwise only the listed k are visited, and rows
 // whose A value is zero are skipped too — every elided term has a zero
 // factor.
-// conlint:hotpath begin
 template <int MR, int NR, typename Acc>
 inline void accumulate_tile(Index depth, const float* __restrict ap,
                             const float* __restrict bp,
@@ -86,7 +85,6 @@ inline void nt_2x8(Index depth, const float* ap, const float* bp,
   accumulate_tile<2, 8, double>(depth, ap, bp, klist, nk, tile);
   std::copy(tile, tile + 2 * 8, acc);
 }
-// conlint:hotpath end
 
 // ---- int8 integer path (the bit-exact oracle for every ISA) -----------------
 // Integer arithmetic end to end: the SIMD variants reorder freely (integer
@@ -106,7 +104,6 @@ inline std::int32_t rshift_rne_i32(std::int32_t v, int shift) {
   return q;
 }
 
-// conlint:hotpath begin
 inline void int8_4x16(Index kpairs, const std::int16_t* __restrict ap,
                       const std::int8_t* __restrict bp,
                       const std::int32_t* __restrict klist, Index nk,
@@ -179,7 +176,6 @@ inline void requant_row_bias(float* __restrict y,
     }
   }
 }
-// conlint:hotpath end
 
 // ---- elementwise (the exact tensor/ops.cpp loops) ---------------------------
 

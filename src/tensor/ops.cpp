@@ -93,7 +93,6 @@ void add_scaled_inplace(Tensor& dst, const Tensor& src, float s) {
 
 void add_scaled_into(Tensor& dst, const Tensor& a, const Tensor& b, float s) {
   check_same_shape(a, b, "add_scaled_into");
-  // conlint:allow(hot-path-alloc): resizes only when the destination changes shape; iteration loops pass a stable dst and reuse its buffer
   if (dst.shape() != a.shape()) dst.resize(a.shape());
   kernels::active().axpy_out(dst.data(), a.data(), b.data(), s, a.numel());
 }

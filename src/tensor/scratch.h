@@ -1,7 +1,8 @@
 // Per-worker scratch storage for the GEMM panel driver (gemm.cpp). Each
 // worker thread keeps its panel buffers in thread_local storage across
 // panels and calls; every size change goes through grow_scratch, so the
-// driver's hot-path regions allocate in exactly one place.
+// panel loops allocate in exactly one place, and only until each worker's
+// buffers reach their high-water mark (tests/test_heap.cpp counts them).
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,6 @@ namespace con::tensor {
 template <typename T>
 T* grow_scratch(std::vector<T>& v, Index n) {
   const auto need = static_cast<std::size_t>(n);
-  // conlint:allow(hot-path-alloc): per-worker scratch grows to its high-water mark once; steady-state panels reuse its capacity
   if (v.size() < need) v.resize(need);
   return v.data();
 }

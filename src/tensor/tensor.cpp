@@ -11,14 +11,12 @@ namespace {
 
 std::atomic<std::uint64_t> g_buffer_allocations{0};
 
-// conlint:lockfree(monotonic tally, never used to order other memory operations)
 inline void count_allocation(std::size_t elems) {
   if (elems > 0) g_buffer_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
 
-// conlint:lockfree(reads the monotonic tally; callers compare totals across quiesced phases)
 std::uint64_t Tensor::buffer_allocations() {
   return g_buffer_allocations.load(std::memory_order_relaxed);
 }

@@ -17,13 +17,9 @@ std::size_t g_requested_threads = 0;  // 0 = hardware concurrency
 bool g_created = false;
 std::size_t g_created_size = 0;
 
-// Ceiling on the pool size: guards against nonsense like `--threads -1`
-// wrapping to SIZE_MAX and exhausting the process at thread creation.
-constexpr std::size_t kMaxThreads = 256;
-
 std::size_t resolve_threads(std::size_t n) {
   if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return std::min(n, kMaxThreads);
+  return std::min(n, ThreadPool::kMaxThreads);
 }
 
 std::size_t consume_global_size() {
@@ -186,7 +182,6 @@ void parallel_for(std::size_t begin, std::size_t end,
     return;
   }
 
-  // conlint:allow(hot-path-alloc): one shared control block per parallel region, amortised over the whole index range
   auto job = std::make_shared<ParallelJob>();
   job->fn = [&fn, begin](std::size_t i) { fn(begin + i); };
   job->end = n;

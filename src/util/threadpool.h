@@ -29,6 +29,10 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  // Ceiling on the pool size: guards against a nonsense size exhausting
+  // the process at thread creation.
+  static constexpr std::size_t kMaxThreads = 256;
+
   // Enqueue a task; fire-and-forget (use parallel_for for joined work).
   // Tasks must not throw out of the pool: a task that does is caught by the
   // worker, the in-flight count still drops, and the exception is dropped —

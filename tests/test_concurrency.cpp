@@ -244,7 +244,6 @@ TEST_F(ConcurrencyTest, SweepScenariosMatchesSerialEvaluationCellForCell) {
   }
 }
 
-// conlint:lockfree(per-index atomic slots; the parallel_for join orders every bump before the assertions)
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
   constexpr std::size_t kN = 10'000;
   std::vector<std::atomic<int>> counts(kN);
@@ -282,7 +281,6 @@ TEST(ParallelForTest, RethrowsWorkerExceptionAndPoolSurvives) {
   }
 }
 
-// conlint:lockfree(independent tally bumped by workers; the nested parallel_for joins order every bump before the read)
 TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
   // parallel_for inside a pool task must make progress even when every pool
   // thread is occupied by the outer loop (the caller drains its own work).

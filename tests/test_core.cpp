@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -212,6 +213,24 @@ TEST_F(StudyTest, AdversarialAccuracyBelowClean) {
   const double clean =
       nn::evaluate_accuracy(base, probes.images, probes.labels);
   EXPECT_LT(nn::evaluate_accuracy(base, adv, probes.labels), clean);
+}
+
+TEST_F(StudyTest, DeepFoolRunsOnASubsetLackingTheTopClass) {
+  // The first 8 test samples carry labels 0..7; their class count is still
+  // the generator's 10, the width of the model's logits, which DeepFool
+  // checks ("class count mismatch").
+  const data::Dataset subset = study_->test_set().take(8);
+  ASSERT_EQ(std::count(subset.labels.begin(), subset.labels.end(), 9), 0);
+  const attacks::AttackParams params =
+      attacks::paper_params(attacks::AttackKind::kDeepFool, "lenet5-small");
+  const Tensor baseline_adv = attacks::run_attack_batched(
+      attacks::AttackKind::kDeepFool, study_->baseline(), subset.images,
+      subset.labels, params, subset.num_classes());
+  nn::Sequential copy = study_->baseline().clone();
+  const ScenarioPoint p = evaluate_scenarios(
+      study_->baseline(), copy, attacks::AttackKind::kDeepFool, params, subset,
+      baseline_adv);
+  EXPECT_DOUBLE_EQ(p.comp_to_comp, p.full_to_comp);
 }
 
 TEST_F(StudyTest, TransferRateBetweenIdenticalModelsIsTotal) {

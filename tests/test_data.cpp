@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/synth_digits.h"
 #include "data/synth_objects.h"
 #include "tensor/ops.h"
@@ -146,10 +148,19 @@ TEST(DatasetTest, TakeReturnsPrefix) {
 }
 
 TEST(DatasetTest, NumClasses) {
-  Dataset ds;
-  ds.images = tensor::Tensor({3, 1, 2, 2});
-  ds.labels = {0, 4, 2};
-  EXPECT_EQ(ds.num_classes(), 5);
+  // The class count is the generator's declared one, not the largest label
+  // present, and take() keeps it: the first 8 samples carry labels 0..7.
+  SynthDigitsConfig c;
+  c.train_size = 20;
+  c.test_size = 20;
+  const TrainTestSplit s = make_synth_digits(c);
+  EXPECT_EQ(s.train.num_classes(), kDigitClasses);
+  const Dataset sub = s.test.take(8);
+  EXPECT_EQ(*std::max_element(sub.labels.begin(), sub.labels.end()), 7);
+  EXPECT_EQ(sub.num_classes(), kDigitClasses);
+  const TrainTestSplit objects =
+      make_synth_objects(SynthObjectsConfig{.train_size = 20, .test_size = 20});
+  EXPECT_EQ(objects.test.take(3).num_classes(), kObjectClasses);
 }
 
 TEST(DatasetTest, ValidateCatchesBadLabels) {

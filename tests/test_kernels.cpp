@@ -1158,7 +1158,7 @@ TEST(Int8KernelOracle, RequantRoundsHalfToEvenAndSaturates) {
   EXPECT_EQ(y[4], 127.0f);
 }
 
-// ---- allocation regression (the dynamic side of the hotpath lint) ----------
+// ---- allocation regression (tensor buffers; test_heap.cpp counts the heap) -
 
 TEST(KernelRegression, BlockedGemmAllocatesOnlyTheOutput) {
   const std::vector<kernels::Isa> isas = simd_isas({kernels::Isa::kScalar});

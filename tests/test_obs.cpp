@@ -1,12 +1,12 @@
 // Tests for the observability subsystem: spans, metrics, Chrome-trace
 // export, JSON round-trips and run manifests.
 //
-// Built as its OWN test binary (con_obs_tests): it overrides global
-// operator new/delete to count heap allocations, which must not leak into
-// the main test suite. The counting override forwards to malloc/free and
-// is exercised by the allocation-guard tests below — the contract is that
-// span recording and counter updates never allocate once a thread's ring
-// exists, and cost only a relaxed load + branch when tracing is off.
+// Built as its OWN test binary (con_obs_tests): it replaces the global
+// operator new with heap_counter.h's counting one, which must not leak into
+// the main test suite. The allocation-guard tests below read the count —
+// the contract is that span recording and counter updates never allocate
+// once a thread's ring exists, and cost only a relaxed load + branch when
+// tracing is off.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -20,11 +20,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "heap_counter.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
@@ -33,39 +33,6 @@
 #include "obs/stats_server.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
-
-// GCC can't see that the operator new below forwards to malloc, so it
-// flags the free() in operator delete as mismatched; the pairing is fine.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-// conlint:lockfree(monotonic allocation tally; assertions compare totals across quiesced phases)
-void count_global_alloc() {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-}
-
-// conlint:lockfree(reads the monotonic allocation tally; no ordering against the counted allocations is needed)
-std::uint64_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  count_global_alloc();
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  count_global_alloc();
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -180,12 +147,12 @@ TEST(ObsOverhead, SpansAllocateNothingWhenTracingOff) {
   con::obs::set_tracing(false);
   con::obs::this_thread_id();  // ensure the thread's ring exists
   const std::string base = "layer-name-beyond-sso-length-for-realism";
-  const std::uint64_t before = allocation_count();
+  const std::uint64_t before = con::testing::heap_allocations();
   for (int i = 0; i < 1000; ++i) {
     con::obs::Span a("gemm.nn");
     con::obs::Span b(base, "forward");
   }
-  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(con::testing::heap_allocations() - before, 0u);
 }
 
 TEST(ObsOverhead, SpansAllocateNothingWhenTracingOn) {
@@ -193,12 +160,12 @@ TEST(ObsOverhead, SpansAllocateNothingWhenTracingOn) {
   con::obs::clear_trace();
   { con::obs::Span warm("warm"); }  // ring + first-touch done
   const std::string base = "layer-name-beyond-sso-length-for-realism";
-  const std::uint64_t before = allocation_count();
+  const std::uint64_t before = con::testing::heap_allocations();
   for (int i = 0; i < 1000; ++i) {
     con::obs::Span a("gemm.nn");
     con::obs::Span b(base, "forward");
   }
-  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(con::testing::heap_allocations() - before, 0u);
   con::obs::set_tracing(false);
   con::obs::clear_trace();
 }
@@ -206,12 +173,12 @@ TEST(ObsOverhead, SpansAllocateNothingWhenTracingOn) {
 TEST(ObsOverhead, CounterAndDistributionUpdatesAllocateNothing) {
   con::obs::Counter& c = con::obs::counter("obs_test.alloc_guard");
   con::obs::Distribution& d = con::obs::dist("obs_test.alloc_guard_dist");
-  const std::uint64_t before = allocation_count();
+  const std::uint64_t before = con::testing::heap_allocations();
   for (int i = 0; i < 1000; ++i) {
     c.add(1);
     d.record(static_cast<double>(i));
   }
-  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(con::testing::heap_allocations() - before, 0u);
 }
 
 // ---- metrics ----------------------------------------------------------------
@@ -488,12 +455,12 @@ TEST(ObsDistribution, RecordIsAllocationAndLockFree) {
   std::atomic<double> sum_probe{0.0};
   EXPECT_TRUE(count_probe.is_lock_free());
   EXPECT_TRUE(sum_probe.is_lock_free());
-  const std::uint64_t before = allocation_count();
+  const std::uint64_t before = con::testing::heap_allocations();
   for (int i = 0; i < 1000; ++i) {
     d.record(static_cast<double>(i));
     d.record(static_cast<double>(i) + 0.25);
   }
-  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(con::testing::heap_allocations() - before, 0u);
 }
 
 // The determinism claim: for a fixed multiset of integer observations,

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "util/ascii_plot.h"
 #include "util/cli.h"
@@ -136,20 +138,23 @@ TEST(Cli, BadBooleanThrows) {
   EXPECT_THROW(flags.get_bool("b", false), std::invalid_argument);
 }
 
+// The std::invalid_argument message `get` throws, or "no exception".
+template <typename F>
+std::string message(F get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
 TEST(Cli, PartlyNumericValuesThrowNamingTheFlag) {
   const char* argv[] = {"prog",      "--threads", "4x",
                         "--eps",     "0.3.2",     "--n",
                         "abc",       "--big=99999999999999999999",
                         "--huge=1e999"};
   CliFlags flags(9, argv);
-  const auto message = [](auto get) {
-    try {
-      get();
-    } catch (const std::invalid_argument& e) {
-      return std::string(e.what());
-    }
-    return std::string("no exception");
-  };
   EXPECT_EQ(message([&] { flags.get_int("threads", 1); }),
             "flag --threads is not an integer: 4x");
   EXPECT_EQ(message([&] { flags.get_double("eps", 0.0); }),
@@ -160,6 +165,35 @@ TEST(Cli, PartlyNumericValuesThrowNamingTheFlag) {
             "flag --big is not an integer: 99999999999999999999");
   EXPECT_EQ(message([&] { flags.get_double("huge", 0.0); }),
             "flag --huge is not a number: 1e999");
+}
+
+TEST(Cli, RangedIntegersRejectValuesOutsideTheRange) {
+  // Values a narrowing cast would truncate (2^32 + 1 as an int is 1) or
+  // that would fail far from the flag (a negative size or thread count).
+  const char* argv[] = {"prog",    "--epochs",  "4294967297",
+                        "--train-size=-5",      "--threads", "-1",
+                        "--low=0", "--high=10", "--seed=7"};
+  CliFlags flags(9, argv);
+  EXPECT_EQ(message([&] { flags.get_int("epochs", 6, 0, 10000); }),
+            "flag --epochs must lie in [0, 10000]: 4294967297");
+  EXPECT_EQ(message([&] {
+              flags.get_int("train-size", std::int64_t{100}, 1, 1000000);
+            }),
+            "flag --train-size must lie in [1, 1000000]: -5");
+  EXPECT_EQ(message([&] {
+              flags.get_int("threads", std::size_t{0}, 0,
+                            ThreadPool::kMaxThreads);
+            }),
+            "flag --threads must lie in [0, 256]: -1");
+  // Both bounds are accepted, and a missing flag yields the fallback.
+  EXPECT_EQ(flags.get_int("low", 5, 0, 10), 0);
+  EXPECT_EQ(flags.get_int("high", 5, 0, 10), 10);
+  EXPECT_EQ(flags.get_int("absent", 3, 0, 10), 3);
+  // The value comes back in the fallback's type.
+  const auto seed = flags.get_int("seed", std::uint64_t{42}, 0, 100);
+  static_assert(std::is_same_v<decltype(seed), const std::uint64_t>);
+  EXPECT_EQ(seed, 7u);
+  EXPECT_NO_THROW(flags.check_unused());
 }
 
 TEST(TableTest, AlignedRender) {

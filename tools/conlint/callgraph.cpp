@@ -36,7 +36,6 @@ bool ns_suffix_match(const std::string& ns, const std::string& qual) {
 
 CallGraph::CallGraph(const ProjectIndex& index) : index_(index) {
   const auto& fns = index_.functions();
-  alloc_memo_.resize(fns.size());
   taint_memo_.resize(fns.size());
   lock_ids_.resize(fns.size());
   closure_.resize(fns.size());
@@ -47,7 +46,7 @@ CallGraph::CallGraph(const ProjectIndex& index) : index_(index) {
   // makes the bump excuse *harder* to earn, never unsound).
   for (std::size_t f = 0; f < fns.size(); ++f) {
     for (const CallSite& c : fns[f].calls) {
-      for (std::size_t target : resolve(fns[f], c, true)) {
+      for (std::size_t target : resolve(fns[f], c)) {
         auto& list = callers_[target];
         if (list.empty() || list.back() != f) list.push_back(f);
       }
@@ -59,14 +58,12 @@ CallGraph::CallGraph(const ProjectIndex& index) : index_(index) {
 }
 
 std::vector<std::size_t> CallGraph::resolve(const FunctionDef& caller,
-                                            const CallSite& call,
-                                            bool include_member_calls) const {
+                                            const CallSite& call) const {
   const std::vector<std::size_t>* ids = index_.functions_named(call.name);
   if (ids == nullptr) return {};
   const auto& fns = index_.functions();
   std::vector<std::size_t> out;
   if (call.member) {
-    if (!include_member_calls) return {};
     // Type the receiver chain when it resolves cleanly. Three outcomes:
     // a known class (restrict candidates to it and its derived classes — a
     // by-name match on an unrelated class must not accuse this call), a
@@ -163,84 +160,7 @@ std::vector<std::size_t> CallGraph::resolve(const FunctionDef& caller,
   return out;
 }
 
-// ---- transitive allocation / taint -----------------------------------------
-
-const Allow* CallGraph::hotpath_barrier(const std::string& file,
-                                        int line) const {
-  const FileIndex* fi = index_.file(file);
-  if (fi == nullptr) return nullptr;
-  for (const Allow& a : fi->allows) {
-    if (a.line != line && a.line != line - 1) continue;
-    if (a.rule == "hot-path-alloc" || a.rule == "transitive-hot-path-alloc") {
-      return &a;
-    }
-  }
-  return nullptr;
-}
-
-bool CallGraph::alloc_reachable(std::size_t fn,
-                                std::vector<Reach>& memo) const {
-  Reach& r = memo[fn];
-  if (r.state == 3) return true;
-  if (r.state == 2 || r.state == 1) return false;
-  r.state = 1;
-  const FunctionDef& def = index_.functions()[fn];
-  for (std::size_t ai = 0; ai < def.allocs.size(); ++ai) {
-    // An allow(hot-path-alloc) on the allocation itself is a propagation
-    // barrier: the author has justified this site once, for every caller.
-    if (const Allow* a = hotpath_barrier(def.file, def.allocs[ai].line)) {
-      barrier_allows_used_[def.file].insert({a->line, a->rule});
-      continue;
-    }
-    r.state = 3;
-    r.site = static_cast<int>(ai);
-    return true;
-  }
-  for (std::size_t ci = 0; ci < def.calls.size(); ++ci) {
-    const CallSite& c = def.calls[ci];
-    if (c.member) continue;
-    if (const Allow* a = hotpath_barrier(def.file, c.line)) {
-      barrier_allows_used_[def.file].insert({a->line, a->rule});
-      continue;
-    }
-    for (std::size_t target : resolve(def, c, false)) {
-      if (target == fn) continue;
-      if (alloc_reachable(target, memo)) {
-        r.state = 3;
-        r.via_call = static_cast<int>(ci);
-        r.via_target = static_cast<int>(target);
-        return true;
-      }
-    }
-  }
-  r.state = 2;
-  return false;
-}
-
-std::string CallGraph::alloc_chain(const FunctionDef& caller,
-                                   const CallSite& call) const {
-  if (call.member) return "";
-  for (std::size_t target : resolve(caller, call, false)) {
-    if (!alloc_reachable(target, alloc_memo_)) continue;
-    std::string chain;
-    std::size_t at = target;
-    for (int hop = 0; hop < 64; ++hop) {
-      const FunctionDef& def = index_.functions()[at];
-      const Reach& r = alloc_memo_[at];
-      chain += site_ref(def);
-      if (r.site >= 0) {
-        const AllocSite& a = def.allocs[static_cast<std::size_t>(r.site)];
-        chain += " -> " + a.what + " at " + def.file + ":" +
-                 std::to_string(a.line);
-        break;
-      }
-      chain += " -> ";
-      at = static_cast<std::size_t>(r.via_target);
-    }
-    return chain;
-  }
-  return "";
-}
+// ---- transitive taint -------------------------------------------------------
 
 bool CallGraph::taint_reachable(std::size_t fn,
                                 std::vector<Reach>& memo) const {
@@ -256,7 +176,7 @@ bool CallGraph::taint_reachable(std::size_t fn,
   }
   for (std::size_t ci = 0; ci < def.calls.size(); ++ci) {
     const CallSite& c = def.calls[ci];
-    for (std::size_t target : resolve(def, c, true)) {
+    for (std::size_t target : resolve(def, c)) {
       if (target == fn) continue;
       if (taint_reachable(target, memo)) {
         r.state = 3;
@@ -273,7 +193,7 @@ bool CallGraph::taint_reachable(std::size_t fn,
 CallGraph::TaintResult CallGraph::taint_chain(const FunctionDef& caller,
                                               const CallSite& call) const {
   TaintResult out;
-  for (std::size_t target : resolve(caller, call, true)) {
+  for (std::size_t target : resolve(caller, call)) {
     if (!taint_reachable(target, taint_memo_)) continue;
     std::string chain;
     std::size_t at = target;
@@ -455,7 +375,7 @@ void CallGraph::build_lock_graph() {
       closure_[f].emplace(id, Acquire{fn.file, fn.locks[l].line, ""});
     }
     for (const CallSite& c : fn.calls) {
-      for (std::size_t target : resolve(fn, c, true)) {
+      for (std::size_t target : resolve(fn, c)) {
         if (state[target] == 1) continue;  // recursion: already on the stack
         compute(target);
         for (const auto& [id, acq] : closure_[target]) {
@@ -494,7 +414,7 @@ void CallGraph::build_lock_graph() {
       }
       for (const CallSite& c : fn.calls) {
         if (c.tok <= held.tok || c.tok >= held.scope_end) continue;
-        for (std::size_t target : resolve(fn, c, true)) {
+        for (std::size_t target : resolve(fn, c)) {
           for (const auto& [to, acq] : closure_[target]) {
             if (from == to && recursive_ids_.count(from) != 0) continue;
             std::string note = "call to '" + c.name + "' at " + fn.file +

@@ -3,11 +3,10 @@
 // Resolution is by spelled name. Free and `ns::`-qualified calls resolve to
 // every indexed function of that name (preferring methods of the caller's
 // own class / its bases for unqualified calls); `.`/`->` member calls
-// resolve to every indexed method of that name. Rules choose how much
-// over-approximation they can afford: transitive-hot-path-alloc excludes
-// member calls (virtual dispatch by name alone is too coarse to accuse a
-// hot loop), while lock-order and transitive-determinism include them
-// (missing a deadlock edge is worse than walking a few extra candidates).
+// resolve to every indexed method of that name, narrowed to the receiver's
+// class when its type is known. Every rule walks member calls too: for
+// lock-order, transitive-determinism and the param-version caller set,
+// missing an edge is worse than walking a few extra candidates.
 #pragma once
 
 #include <cstddef>
@@ -26,17 +25,7 @@ class CallGraph {
 
   // Candidate callee ids for `call` made from `caller`.
   std::vector<std::size_t> resolve(const FunctionDef& caller,
-                                   const CallSite& call,
-                                   bool include_member_calls) const;
-
-  // --- transitive-hot-path-alloc --------------------------------------------
-
-  // If an allocation is reachable from `call` (free/qualified calls only),
-  // returns the offending chain rendered as
-  //   "f (file:line) -> g (file:line) -> <what> at file:line";
-  // empty string when nothing is reachable.
-  std::string alloc_chain(const FunctionDef& caller,
-                          const CallSite& call) const;
+                                   const CallSite& call) const;
 
   // --- transitive-determinism -----------------------------------------------
 
@@ -46,6 +35,8 @@ class CallGraph {
     std::string chain;
     std::string what;
   };
+  // Whether a randomness source is reachable from `call`, and the chain
+  // rendered as "f (file:line) -> g (file:line) -> <what> at file:line".
   TaintResult taint_chain(const FunctionDef& caller,
                           const CallSite& call) const;
 
@@ -81,31 +72,15 @@ class CallGraph {
     return lock_ids_[fn][lock];
   }
 
-  // Allow annotations consumed as propagation *barriers* during transitive
-  // allocation walks, keyed by file: (line, rule-as-written) pairs in
-  // UsedAllows shape. An allow(hot-path-alloc) on an allocation or call
-  // inside a helper stops the walk there, so ONE annotation at the source
-  // covers every hot-path caller — but it also kills the local finding that
-  // would otherwise mark the allow used, so the CLI must merge this set
-  // into the used-allow map before stale-suppression reporting.
-  const std::map<std::string, std::set<std::pair<int, std::string>>>&
-  barrier_allows_used() const {
-    return barrier_allows_used_;
-  }
-
  private:
   struct Reach {               // memoised reachability of a property
     int state = 0;             // 0 unknown / 1 visiting / 2 no / 3 yes
     int via_call = -1;         // index into calls when reached transitively
     int via_target = -1;       // the resolved callee that carries it
-    int site = -1;             // index into allocs/randoms when direct
+    int site = -1;             // index into randoms when direct
   };
 
-  bool alloc_reachable(std::size_t fn, std::vector<Reach>& memo) const;
   bool taint_reachable(std::size_t fn, std::vector<Reach>& memo) const;
-  // The hot-path-alloc-family allow covering `line` (same line or the line
-  // above) in `file`, or null.
-  const Allow* hotpath_barrier(const std::string& file, int line) const;
   void resolve_mutexes(const ProjectIndex& index);
   void build_lock_graph();
   void find_cycles();
@@ -113,7 +88,6 @@ class CallGraph {
   const ProjectIndex& index_;
   std::vector<std::vector<std::string>> lock_ids_;  // parallel to locks
   std::map<std::size_t, std::vector<std::size_t>> callers_;
-  mutable std::vector<Reach> alloc_memo_;
   mutable std::vector<Reach> taint_memo_;
   // Transitively acquired mutexes per function: id -> (file, line, chain).
   struct Acquire {
@@ -125,8 +99,6 @@ class CallGraph {
   std::set<std::string> recursive_ids_;  // ids of recursive_mutex members
   std::map<std::string, std::map<std::string, LockEdge>> lock_graph_;
   std::vector<std::vector<LockEdge>> cycles_;
-  mutable std::map<std::string, std::set<std::pair<int, std::string>>>
-      barrier_allows_used_;
 };
 
 }  // namespace conlint

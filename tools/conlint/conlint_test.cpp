@@ -95,13 +95,6 @@ TEST(ConlintLexer, DigitSeparatorsStayOneNumberToken) {
   EXPECT_TRUE(found_hex);
 }
 
-TEST(ConlintLexer, UnbalancedHotpathIsADirectiveError) {
-  auto fl = run("src/x.cpp", "// conlint:hotpath begin\nint a = 0;\n");
-  EXPECT_EQ(count_rule(fl, "directive"), 1);
-  auto fl2 = run("src/x.cpp", "int a = 0;\n// conlint:hotpath end\n");
-  EXPECT_EQ(count_rule(fl2, "directive"), 1);
-}
-
 // ---- param-version ----------------------------------------------------------
 
 TEST(ParamVersion, FlagsAssignmentWithoutBump) {
@@ -234,55 +227,6 @@ TEST(LayerReentrancy, NonLayerClassMayUseMutable) {
   EXPECT_EQ(count_rule(fl, "layer-reentrancy"), 0);
 }
 
-// A mutable member whose type carries conlint:lockfree is a reviewed
-// internally-synchronised cell (telemetry), not hidden per-call state.
-TEST(LayerReentrancy, LockfreeAnnotatedMemberTypeIsExempt) {
-  SourceList extra = kLayerHierarchy;
-  extra.push_back(
-      {"src/obs/lazy_fixture.h",
-       "#pragma once\n"
-       "// conlint:lockfree(single-writer telemetry cell; readers tolerate "
-       "staleness)\n"
-       "class LazyDist {\n"
-       "  std::atomic<long> n_;\n"
-       "};\n"});
-  auto fl = run("src/nn/x.h",
-                "#pragma once\n"
-                "class Linear : public Layer {\n"
-                "  mutable LazyDist stats_;\n"
-                "  mutable Tensor scratch_;\n"
-                "};\n",
-                extra);
-  // The Tensor member still fires; the LazyDist member does not.
-  EXPECT_EQ(count_rule(fl, "layer-reentrancy"), 1);
-  ASSERT_EQ(fl.diagnostics.size(), 1u);
-  EXPECT_EQ(fl.diagnostics[0].line, 4);
-}
-
-TEST(LayerReentrancy, FlagsMemberMutationInForward) {
-  auto fl = run("src/nn/x.cpp",
-                "Tensor Linear::forward(const Tensor& x, bool train,\n"
-                "                       TapeSlot& slot) const {\n"
-                "  calls_ += 1;\n"
-                "  return x;\n"
-                "}\n",
-                kLayerHierarchy);
-  EXPECT_EQ(count_rule(fl, "layer-reentrancy"), 1);
-}
-
-TEST(LayerReentrancy, ReadsAndLocalsInForwardAreFine) {
-  auto fl = run("src/nn/x.cpp",
-                "Tensor Linear::forward(const Tensor& x, bool train,\n"
-                "                       TapeSlot& slot) const {\n"
-                "  float w = weight_.value[0];\n"
-                "  slot.saved = x;\n"
-                "  Tensor out = x;\n"
-                "  return out;\n"
-                "}\n",
-                kLayerHierarchy);
-  EXPECT_EQ(count_rule(fl, "layer-reentrancy"), 0);
-}
-
 // ---- determinism ------------------------------------------------------------
 
 TEST(Determinism, FlagsBannedSources) {
@@ -405,211 +349,36 @@ TEST(TransitiveDeterminism, AllowDeterminismCoversTheTransitiveFamily) {
   EXPECT_EQ(fl.suppressed.size(), 1u);
 }
 
-// ---- hot-path-alloc ---------------------------------------------------------
-
-TEST(HotPathAlloc, FlagsAllocationsInsideRegion) {
-  auto fl = run("src/attacks/x.cpp",
-                "void f(std::vector<int>& v) {\n"
-                "  // conlint:hotpath begin\n"
-                "  for (int i = 0; i < 8; ++i) {\n"
-                "    v.push_back(i);\n"
-                "    Tensor t(shape);\n"
-                "    auto* p = new float[4];\n"
-                "    std::vector<float> tmp;\n"
-                "    std::function<void()> cb;\n"
-                "  }\n"
-                "  // conlint:hotpath end\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "hot-path-alloc"), 5);
-}
-
-TEST(HotPathAlloc, FlagsMakeSharedAndMalloc) {
-  auto fl = run("src/attacks/x.cpp",
-                "void f() {\n"
-                "  // conlint:hotpath begin\n"
-                "  auto a = std::make_shared<int>(1);\n"
-                "  auto b = std::make_unique<int>(2);\n"
-                "  void* c = malloc(16);\n"
-                "  // conlint:hotpath end\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "hot-path-alloc"), 3);
-}
-
-TEST(HotPathAlloc, OutsideRegionIsFine) {
-  auto fl = run("src/attacks/x.cpp",
-                "void f(std::vector<int>& v) {\n"
-                "  v.push_back(1);\n"
-                "  Tensor t(shape);\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "hot-path-alloc"), 0);
-}
-
-TEST(HotPathAlloc, TensorReferencesAreNotConstructions) {
-  auto fl = run("src/attacks/x.cpp",
-                "// conlint:hotpath begin\n"
-                "void f(const Tensor& x, Tensor* out) {\n"
-                "  const Tensor& y = x;\n"
-                "}\n"
-                "// conlint:hotpath end\n");
-  EXPECT_EQ(count_rule(fl, "hot-path-alloc"), 0);
-}
-
-// One-time setup that persists across iterations is not a per-iteration
-// allocation: thread_local scratch and static tables are the sanctioned
-// way to keep capacity out of the hot loop.
-TEST(HotPathAlloc, ThreadLocalAndStaticStorageAreExempt) {
-  auto fl = run("src/attacks/x.cpp",
-                "void f() {\n"
-                "  // conlint:hotpath begin\n"
-                "  thread_local std::vector<float> scratch;\n"
-                "  static Tensor table(shape);\n"
-                "  thread_local auto* arena = new float[1024];\n"
-                "  // conlint:hotpath end\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "hot-path-alloc"), 0);
-}
-
-// ---- transitive-hot-path-alloc ----------------------------------------------
-
-TEST(TransitiveHotPathAlloc, FlagsCallReachingAllocation) {
-  auto fl = run("src/attacks/x.cpp",
-                "void fill_buf(std::vector<int>& v) {\n"
-                "  v.push_back(1);\n"
-                "}\n"
-                "void outer(std::vector<int>& v) {\n"
-                "  // conlint:hotpath begin\n"
-                "  fill_buf(v);\n"
-                "  // conlint:hotpath end\n"
-                "}\n");
-  ASSERT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 1);
-  EXPECT_EQ(fl.diagnostics[0].line, 6);
-  EXPECT_TRUE(contains(fl.diagnostics[0].message, "fill_buf"));
-  EXPECT_TRUE(contains(fl.diagnostics[0].message, "->"));
-}
-
-TEST(TransitiveHotPathAlloc, FollowsChainsAcrossFiles) {
-  auto fl = run("src/attacks/x.cpp",
-                "void outer() {\n"
-                "  // conlint:hotpath begin\n"
-                "  mid_step();\n"
-                "  // conlint:hotpath end\n"
-                "}\n",
-                {{"src/core/mid_fixture.cpp",
-                  "void mid_step() { leaf_alloc(); }\n"},
-                 {"src/core/leaf_fixture.cpp",
-                  "void leaf_alloc() { auto* p = new int; }\n"}});
-  ASSERT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 1);
-  EXPECT_TRUE(contains(fl.diagnostics[0].message, "mid_step"));
-  EXPECT_TRUE(contains(fl.diagnostics[0].message, "leaf_alloc"));
-}
-
-TEST(TransitiveHotPathAlloc, AllocationFreeHelperIsClean) {
-  auto fl = run("src/attacks/x.cpp",
-                "int helper(int x) { return x + 1; }\n"
-                "void outer() {\n"
-                "  // conlint:hotpath begin\n"
-                "  int y = helper(2);\n"
-                "  // conlint:hotpath end\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 0);
-}
-
-TEST(TransitiveHotPathAlloc, AllowHotPathAllocCoversTheFamily) {
-  // One annotation per site: allow(hot-path-alloc) also covers the
-  // transitive finding at the same line.
-  auto fl = run("src/attacks/x.cpp",
-                "void fill_buf(std::vector<int>& v) { v.push_back(1); }\n"
-                "void outer(std::vector<int>& v) {\n"
-                "  // conlint:hotpath begin\n"
-                "  // conlint:allow(hot-path-alloc): amortised, measured flat\n"
-                "  fill_buf(v);\n"
-                "  // conlint:hotpath end\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 0);
-  EXPECT_EQ(fl.suppressed.size(), 1u);
-  EXPECT_EQ(fl.used_allows.size(), 1u);
-}
-
-TEST(TransitiveHotPathAlloc, QualifiedCallResolvesByNamespaceSuffix) {
+TEST(TransitiveDeterminism, QualifiedCallResolvesByNamespaceSuffix) {
   // scalar::add must resolve to the kernels' scalar namespace, never to the
-  // allocating tensor::add of the same spelled name.
-  auto fl = run("src/tensor/kernels/k_fixture.cpp",
+  // entropy-drawing util::add of the same spelled name.
+  auto fl = run("src/attacks/x.cpp",
                 "namespace scalar {\n"
-                "void add(float* d, const float* s, int n) { d[0] = s[0]; }\n"
+                "int add(int a) { return a; }\n"
                 "}\n"
-                "void outer(float* d, const float* s, int n) {\n"
-                "  // conlint:hotpath begin\n"
-                "  scalar::add(d, s, n);\n"
-                "  // conlint:hotpath end\n"
+                "int outer(int a) {\n"
+                "  return scalar::add(a);\n"
                 "}\n",
-                {{"src/tensor/ops_fixture.cpp",
-                  "namespace con::tensor {\n"
-                  "Tensor add(const Tensor& a, const Tensor& b) {\n"
-                  "  return Tensor(a.shape());\n"
-                  "}\n"
+                {{"src/util/ops_fixture.cpp",
+                  "namespace con::util {\n"
+                  "int add(int a) { return a + rand(); }\n"
                   "}\n"}});
-  EXPECT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 0);
+  EXPECT_EQ(count_rule(fl, "transitive-determinism"), 0);
 }
 
-TEST(TransitiveHotPathAlloc, NamespaceSuffixMatchStillChains) {
-  // tensor::scale names the innermost segment of con::tensor: the chain
+TEST(TransitiveDeterminism, NamespaceSuffixMatchStillChains) {
+  // util::jitter names the innermost segment of con::util: the chain
   // through the qualified call must still be followed.
   auto fl = run("src/attacks/x.cpp",
-                "void outer() {\n"
-                "  // conlint:hotpath begin\n"
-                "  tensor::scale();\n"
-                "  // conlint:hotpath end\n"
+                "int outer() {\n"
+                "  return util::jitter();\n"
                 "}\n",
-                {{"src/tensor/ops_fixture.cpp",
-                  "namespace con::tensor {\n"
-                  "void scale() { auto* p = new float[4]; }\n"
+                {{"src/util/entropy_fixture.cpp",
+                  "namespace con::util {\n"
+                  "int jitter() { return rand(); }\n"
                   "}\n"}});
-  ASSERT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 1);
-  EXPECT_TRUE(contains(fl.diagnostics[0].message, "scale"));
-}
-
-TEST(TransitiveHotPathAlloc, AllowAtTheSourceIsAPropagationBarrier) {
-  // One allow(hot-path-alloc) on the allocation inside the helper covers
-  // every hot-path caller — the walk stops at the annotated site.
-  auto fl = run("src/attacks/x.cpp",
-                "void outer() {\n"
-                "  // conlint:hotpath begin\n"
-                "  warm_table();\n"
-                "  // conlint:hotpath end\n"
-                "}\n",
-                {{"src/core/table_fixture.cpp",
-                  "void warm_table() {\n"
-                  "  // conlint:allow(hot-path-alloc): one-shot table build\n"
-                  "  auto* t = new int[64];\n"
-                  "}\n"}});
-  EXPECT_EQ(count_rule(fl, "transitive-hot-path-alloc"), 0);
-}
-
-TEST(TransitiveHotPathAlloc, BarrierAllowsAreRecordedAsUsed) {
-  // A barrier kills the very finding that would mark it used, so the graph
-  // tracks consumption itself; the CLI merges this set before the stale
-  // pass.
-  ProjectIndex idx;
-  idx.add_file("src/core/table_fixture.cpp",
-               "void warm_table() {\n"
-               "  // conlint:allow(hot-path-alloc): one-shot table build\n"
-               "  auto* t = new int[64];\n"
-               "}\n");
-  const std::string path = "src/attacks/x.cpp";
-  const std::string source =
-      "void outer() {\n"
-      "  // conlint:hotpath begin\n"
-      "  warm_table();\n"
-      "  // conlint:hotpath end\n"
-      "}\n";
-  idx.add_file(path, source);
-  CallGraph graph(idx);
-  FileLint fl = conlint::lint_source(path, source, idx, graph);
-  EXPECT_TRUE(fl.diagnostics.empty());
-  const auto& barriers = graph.barrier_allows_used();
-  auto it = barriers.find("src/core/table_fixture.cpp");
-  ASSERT_NE(it, barriers.end());
-  EXPECT_EQ(it->second.count({2, "hot-path-alloc"}), 1u);
+  ASSERT_EQ(count_rule(fl, "transitive-determinism"), 1);
+  EXPECT_TRUE(contains(fl.diagnostics[0].message, "jitter"));
 }
 
 // ---- lock-order -------------------------------------------------------------
@@ -800,96 +569,6 @@ TEST(LockOrder, AllowAtTheAnchorSuppressesTheCycle) {
   EXPECT_EQ(pl.suppressed[0].rule, "lock-order");
   const auto& used = pl.used_allows["src/core/locks_fixture.cpp"];
   EXPECT_EQ(used.count({6, "lock-order"}), 1u);
-}
-
-// ---- atomic-discipline ------------------------------------------------------
-
-TEST(AtomicDiscipline, FlagsRelaxedOutsideLockfreeAnnotation) {
-  auto fl = run("src/core/x.cpp",
-                "void bump(std::atomic<int>& c) {\n"
-                "  c.fetch_add(1, std::memory_order_relaxed);\n"
-                "}\n");
-  ASSERT_EQ(count_rule(fl, "atomic-discipline"), 1);
-  EXPECT_EQ(fl.diagnostics[0].line, 2);
-}
-
-TEST(AtomicDiscipline, LockfreeFunctionAnnotationPermitsRelaxed) {
-  auto fl = run("src/core/x.cpp",
-                "// conlint:lockfree(monotonic counter; readers tolerate "
-                "staleness)\n"
-                "void bump(std::atomic<int>& c) {\n"
-                "  c.fetch_add(1, std::memory_order_relaxed);\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "atomic-discipline"), 0);
-  EXPECT_EQ(count_rule(fl, "directive"), 0);
-}
-
-TEST(AtomicDiscipline, LockfreeClassAnnotationCoversAllMethods) {
-  auto fl = run("src/obs/cell.h",
-                "#pragma once\n"
-                "// conlint:lockfree(single-writer cell; torn reads are "
-                "tolerated by samplers)\n"
-                "class Cell {\n"
-                " public:\n"
-                "  void add(long v) { v_.fetch_add(v, "
-                "std::memory_order_relaxed); }\n"
-                "  long read() const { return v_.load("
-                "std::memory_order_relaxed); }\n"
-                " private:\n"
-                "  std::atomic<long> v_;\n"
-                "};\n");
-  EXPECT_EQ(count_rule(fl, "atomic-discipline"), 0);
-}
-
-TEST(AtomicDiscipline, ClassAnnotationCoversOutOfLineMethodsCrossFile) {
-  auto fl = run("src/obs/cell.cpp",
-                "void Cell::add(long v) {\n"
-                "  v_.fetch_add(v, std::memory_order_relaxed);\n"
-                "}\n",
-                {{"src/obs/cell_fixture.h",
-                  "#pragma once\n"
-                  "// conlint:lockfree(single-writer cell; torn reads "
-                  "tolerated)\n"
-                  "class Cell {\n"
-                  " public:\n"
-                  "  void add(long v);\n"
-                  "  std::atomic<long> v_;\n"
-                  "};\n"}});
-  EXPECT_EQ(count_rule(fl, "atomic-discipline"), 0);
-}
-
-TEST(AtomicDiscipline, RelaxedOutsideAnyFunctionIsStillFlagged) {
-  auto fl = run("src/core/x.cpp",
-                "std::atomic<int> g{0};\n"
-                "static int snapshot = g.load(std::memory_order_relaxed);\n");
-  ASSERT_EQ(count_rule(fl, "atomic-discipline"), 1);
-  EXPECT_EQ(fl.diagnostics[0].line, 2);
-}
-
-TEST(AtomicDiscipline, SequentiallyConsistentOpsNeedNoAnnotation) {
-  auto fl = run("src/core/x.cpp",
-                "void bump(std::atomic<int>& c) {\n"
-                "  c.fetch_add(1);\n"
-                "  c.store(2, std::memory_order_release);\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "atomic-discipline"), 0);
-}
-
-// ---- lockfree directive machinery -------------------------------------------
-
-TEST(LockfreeDirective, RequiresAReason) {
-  auto fl = run("src/core/x.cpp",
-                "// conlint:lockfree()\n"
-                "class C { };\n");
-  EXPECT_EQ(count_rule(fl, "directive"), 1);
-}
-
-TEST(LockfreeDirective, UnattachedAnnotationIsAnError) {
-  auto fl = run("src/core/x.cpp",
-                "int x = 0;\n"
-                "// conlint:lockfree(floats in a vacuum)\n"
-                "int y = 0;\n");
-  EXPECT_EQ(count_rule(fl, "directive"), 1);
 }
 
 // ---- include-hygiene --------------------------------------------------------

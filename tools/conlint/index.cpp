@@ -81,12 +81,11 @@ std::size_t skip_init_list_backward(const Toks& t, std::size_t j) {
 
 // Classifies the '{' at token index `i` (known not to be inside a function
 // body). On kFunction, fills `fn` (close index left 0). On kClass, fills
-// `class_name` and `class_head`. On kNamespace, fills `ns_name` with the
-// declared chain ("con::tensor" for `namespace con::tensor {`; "" for an
-// anonymous namespace).
+// `class_name`. On kNamespace, fills `ns_name` with the declared chain
+// ("con::tensor" for `namespace con::tensor {`; "" for an anonymous
+// namespace).
 BraceKind classify_brace(const Toks& t, std::size_t i, FunctionInfo* fn,
-                         std::string* class_name, std::size_t* class_head,
-                         std::string* ns_name) {
+                         std::string* class_name, std::string* ns_name) {
   // Scan the statement backwards for class/struct/namespace first: their
   // heads are unambiguous.
   for (std::size_t j = i; j-- > 0;) {
@@ -112,7 +111,6 @@ BraceKind classify_brace(const Toks& t, std::size_t i, FunctionInfo* fn,
       }
       if (name.empty()) return BraceKind::kOther;
       *class_name = name;
-      *class_head = j;
       return BraceKind::kClass;
     }
     if (tok.kind == TokKind::kIdent && tok.text == "namespace") {
@@ -270,9 +268,8 @@ Segmentation segment(const Toks& t) {
       }
       FunctionInfo fn;
       std::string cls;
-      std::size_t cls_head = 0;
       std::string ns_name;
-      BraceKind kind = classify_brace(t, i, &fn, &cls, &cls_head, &ns_name);
+      BraceKind kind = classify_brace(t, i, &fn, &cls, &ns_name);
       Scope scope{kind};
       if (kind == BraceKind::kFunction) {
         if (fn.class_name.empty() && !class_stack.empty()) {
@@ -288,7 +285,7 @@ Segmentation segment(const Toks& t) {
         out.functions.push_back(fn);
       } else if (kind == BraceKind::kClass) {
         scope.class_index = out.classes.size();
-        out.classes.push_back(ClassRange{cls, i, 0, cls_head});
+        out.classes.push_back(ClassRange{cls, i, 0});
         class_stack.push_back(cls);
       } else if (kind == BraceKind::kNamespace) {
         ns_stack.push_back(ns_name);
@@ -372,18 +369,6 @@ bool expression_keyword(const std::string& s) {
          s == "case" || s == "co_return" || s == "co_await";
 }
 
-// True if the statement containing token `i` starts with `thread_local` or
-// `static` storage: one-time (or per-thread, capacity-persisting) setup is
-// not a per-iteration allocation.
-bool one_time_storage(const Toks& t, std::size_t i) {
-  for (std::size_t j = statement_head(t, i); j < i; ++j) {
-    if (is_ident(t, j, "thread_local") || is_ident(t, j, "static")) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void extract_calls(const Toks& t, const FunctionInfo& fn, FunctionDef& def) {
   for (std::size_t i = fn.open + 1; i < fn.close; ++i) {
     if (t[i].kind != TokKind::kIdent || !is_punct(t, i + 1, "(")) continue;
@@ -430,40 +415,6 @@ void extract_calls(const Toks& t, const FunctionInfo& fn, FunctionDef& def) {
     }
     def.calls.push_back(
         CallSite{t[i].text, qual, std::move(receiver), member, i, t[i].line});
-  }
-}
-
-void extract_allocs(const Toks& t, const FunctionInfo& fn, FunctionDef& def) {
-  for (std::size_t i = fn.open + 1; i < fn.close; ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    const std::string& s = t[i].text;
-    const bool member = member_access_before(t, i);
-    auto add = [&](const std::string& what) {
-      if (!one_time_storage(t, i)) def.allocs.push_back({t[i].line, what});
-    };
-    if (s == "new" && !member) {
-      add("operator new");
-    } else if (s == "vector" && is_punct(t, i + 1, "<") && !member) {
-      add("std::vector construction");
-    } else if ((s == "resize" || s == "push_back" || s == "emplace_back" ||
-                s == "reserve" || s == "push" || s == "emplace") &&
-               member && is_punct(t, i + 1, "(")) {
-      add("." + s + "()");
-    } else if (s == "Tensor" && !member && !is_punct(t, i + 1, "::") &&
-               !is_punct(t, i + 1, "&") && !is_punct(t, i + 1, "*") &&
-               !is_punct(t, i + 1, ">") && !is_punct(t, i + 1, ",") &&
-               !is_punct(t, i + 1, ")") && !is_punct(t, i + 1, ";")) {
-      add("Tensor construction");
-    } else if (s == "function" && i > 0 && is_punct(t, i - 1, "::") &&
-               is_punct(t, i + 1, "<")) {
-      add("std::function construction");
-    } else if ((s == "make_shared" || s == "make_unique") &&
-               (is_punct(t, i + 1, "<") || is_punct(t, i + 1, "("))) {
-      add("std::" + s);
-    } else if ((s == "malloc" || s == "calloc" || s == "realloc") &&
-               !member && is_punct(t, i + 1, "(")) {
-      add(s + "()");
-    }
   }
 }
 
@@ -801,7 +752,6 @@ void ProjectIndex::add_file(const std::string& path,
   const Toks& t = lx.tokens;
   FileIndex& fi = files_[path];
   fi.allows = lx.allows;
-  fi.hotpaths = lx.hotpaths;
 
   // Class hierarchy edges (`class X : public Y, Z`).
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
@@ -840,7 +790,6 @@ void ProjectIndex::add_file(const std::string& path,
   }
 
   const std::set<std::string> param_vars = collect_parameter_vars(t);
-  std::vector<std::size_t> file_fn_ids;
   int lock_group = 0;
   for (const FunctionInfo& fn : seg.functions) {
     FunctionDef def;
@@ -849,102 +798,18 @@ void ProjectIndex::add_file(const std::string& path,
     def.class_name = fn.class_name;
     def.ns = fn.ns;
     def.head_line = fn.head < t.size() ? t[fn.head].line : 0;
-    def.open_line = fn.open < t.size() ? t[fn.open].line : 0;
-    def.close_line = fn.close < t.size() ? t[fn.close].line : 0;
     for (std::size_t i = fn.open; i <= fn.close && i < t.size(); ++i) {
       if (is_ident(t, i, "bump_version")) def.bumps = true;
-      if (is_ident(t, i, "memory_order_relaxed")) {
-        def.relaxed_lines.push_back(t[i].line);
-      }
     }
     extract_calls(t, fn, def);
-    extract_allocs(t, fn, def);
     extract_randoms(t, fn, def);
     extract_mutations(t, fn, param_vars, def);
     extract_locks(t, fn, def, lock_group);
     extract_local_types(t, fn, def);
     const std::size_t id = functions_.size();
-    file_fn_ids.push_back(id);
+    fi.function_ids.push_back(id);
     by_name_[fn.name].push_back(id);
     functions_.push_back(std::move(def));
-  }
-  fi.function_ids = file_fn_ids;
-
-  // Relaxed atomics outside any segmented function (namespace-scope
-  // initialisers): attributed to the file itself.
-  {
-    std::size_t f = 0;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (!is_ident(t, i, "memory_order_relaxed")) continue;
-      bool inside = false;
-      for (f = 0; f < seg.functions.size(); ++f) {
-        if (i >= seg.functions[f].open && i <= seg.functions[f].close) {
-          inside = true;
-          break;
-        }
-      }
-      if (!inside) fi.orphan_relaxed_lines.push_back(t[i].line);
-    }
-  }
-
-  // Attach conlint:lockfree directives: head-adjacent class, head-adjacent
-  // function, then innermost containing function/class; otherwise error.
-  for (const Lockfree& lf : lx.lockfrees) {
-    const ClassRange* head_class = nullptr;
-    for (const ClassRange& c : seg.classes) {
-      const int head_line = c.head < t.size() ? t[c.head].line : 0;
-      if (head_line == lf.line || head_line == lf.line + 1) {
-        head_class = &c;
-        break;
-      }
-    }
-    if (head_class != nullptr) {
-      lockfree_classes_.insert(head_class->name);
-      continue;
-    }
-    std::size_t head_fn = npos;
-    for (std::size_t f = 0; f < seg.functions.size(); ++f) {
-      const int head_line = functions_[file_fn_ids[f]].head_line;
-      if (head_line == lf.line || head_line == lf.line + 1) {
-        head_fn = f;
-        break;
-      }
-    }
-    if (head_fn == npos) {
-      // Innermost containing function (latest-starting one that spans it).
-      for (std::size_t f = 0; f < seg.functions.size(); ++f) {
-        const FunctionDef& d = functions_[file_fn_ids[f]];
-        if (d.head_line <= lf.line && lf.line <= d.close_line &&
-            (head_fn == npos ||
-             d.head_line >= functions_[file_fn_ids[head_fn]].head_line)) {
-          head_fn = f;
-        }
-      }
-    }
-    if (head_fn != npos) {
-      functions_[file_fn_ids[head_fn]].lockfree = true;
-      continue;
-    }
-    const ClassRange* containing = nullptr;
-    for (const ClassRange& c : seg.classes) {
-      const int b = c.head < t.size() ? t[c.head].line : 0;
-      const int e = c.close < t.size() ? t[c.close].line : 0;
-      if (b <= lf.line && lf.line <= e &&
-          (containing == nullptr ||
-           b >= (containing->head < t.size() ? t[containing->head].line
-                                             : 0))) {
-        containing = &c;
-      }
-    }
-    if (containing != nullptr) {
-      lockfree_classes_.insert(containing->name);
-      continue;
-    }
-    fi.lockfree_errors.push_back(
-        {lf.line,
-         "conlint:lockfree(...) attaches to no class or function definition "
-         "(place it on or directly above the head of the type/function it "
-         "justifies)"});
   }
 }
 
@@ -997,10 +862,6 @@ std::set<std::string> ProjectIndex::ancestors_of(
 
 bool ProjectIndex::known_class(const std::string& name) const {
   return members_.count(name) != 0 || bases_.count(name) != 0;
-}
-
-bool ProjectIndex::class_is_lockfree(const std::string& cls) const {
-  return lockfree_classes_.count(cls) != 0;
 }
 
 const MemberInfo* ProjectIndex::member(const std::string& cls,

@@ -56,7 +56,6 @@ struct ClassRange {
   std::string name;
   std::size_t open = 0;
   std::size_t close = 0;
-  std::size_t head = 0;  // the class/struct keyword token
 };
 
 struct Segmentation {
@@ -106,11 +105,6 @@ struct LockSite {
   int line = 0;
 };
 
-struct AllocSite {
-  int line = 0;
-  std::string what;
-};
-
 struct RandomSite {
   int line = 0;
   std::string what;
@@ -128,16 +122,11 @@ struct FunctionDef {
   std::string ns;          // enclosing namespace chain ("" at global scope;
                            // anonymous namespaces contribute no segment)
   int head_line = 0;       // line of the definition's first token
-  int open_line = 0;       // line of the body '{'
-  int close_line = 0;
   bool bumps = false;      // body contains bump_version
-  bool lockfree = false;   // conlint:lockfree attached to this function
   std::vector<CallSite> calls;
   std::vector<LockSite> locks;
-  std::vector<AllocSite> allocs;
   std::vector<RandomSite> randoms;
   std::vector<MutationSite> mutations;  // param-version mutation sites
-  std::vector<int> relaxed_lines;       // memory_order_relaxed uses
   // Candidate `TypeIdent [&*] name` bindings (params and locals), used to
   // type guard receiver expressions; validated against known classes at
   // resolution time.
@@ -152,15 +141,12 @@ struct MemberInfo {
 // Everything the per-file rules need about one indexed file.
 struct FileIndex {
   std::vector<Allow> allows;
-  std::vector<HotpathRegion> hotpaths;
-  std::vector<std::size_t> function_ids;     // into ProjectIndex::functions()
-  std::vector<DirectiveError> lockfree_errors;  // unattached lockfree(...)
-  std::vector<int> orphan_relaxed_lines;     // relaxed outside any function
+  std::vector<std::size_t> function_ids;  // into ProjectIndex::functions()
 };
 
 // Cross-file knowledge collected in pass 1: class hierarchy and member
-// inventories, function definitions with call/lock/alloc summaries, and
-// which classes/functions carry a conlint:lockfree annotation.
+// inventories, and function definitions with call/lock/randomness/
+// Parameter-mutation summaries.
 class ProjectIndex {
  public:
   // Indexes one file. `path` should be repo-relative (it keys the index and
@@ -179,7 +165,6 @@ class ProjectIndex {
   std::set<std::string> ancestors_of(const std::string& cls) const;
 
   bool known_class(const std::string& name) const;
-  bool class_is_lockfree(const std::string& cls) const;
   // Member lookup in a class body indexed from any file; null if unknown.
   const MemberInfo* member(const std::string& cls,
                            const std::string& name) const;
@@ -193,7 +178,6 @@ class ProjectIndex {
   std::map<std::string, std::vector<std::size_t>> by_name_;
   std::map<std::string, std::vector<std::string>> bases_;
   std::map<std::string, std::map<std::string, MemberInfo>> members_;
-  std::set<std::string> lockfree_classes_;
 };
 
 // Trees whose clock/randomness use is by design (observability timing,

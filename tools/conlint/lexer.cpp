@@ -30,31 +30,10 @@ std::string trim(const std::string& s) {
 
 // Parses the body of a comment for conlint directives. `body` is the
 // comment text without its // or /* */ delimiters.
-void parse_directive(const std::string& body, int line, LexResult& out,
-                     std::vector<int>& open_hotpaths) {
+void parse_directive(const std::string& body, int line, LexResult& out) {
   std::size_t pos = body.find("conlint:");
   if (pos == std::string::npos) return;
   std::string rest = trim(body.substr(pos + std::strlen("conlint:")));
-  if (rest.rfind("hotpath", 0) == 0) {
-    std::string arg = trim(rest.substr(std::strlen("hotpath")));
-    if (arg == "begin") {
-      open_hotpaths.push_back(static_cast<int>(out.hotpaths.size()));
-      out.hotpaths.push_back(HotpathRegion{line, 0});
-    } else if (arg == "end") {
-      if (open_hotpaths.empty()) {
-        out.directive_errors.push_back(
-            {line, "conlint:hotpath end without matching begin"});
-      } else {
-        out.hotpaths[static_cast<std::size_t>(open_hotpaths.back())].end_line =
-            line;
-        open_hotpaths.pop_back();
-      }
-    } else {
-      out.directive_errors.push_back(
-          {line, "conlint:hotpath expects 'begin' or 'end'"});
-    }
-    return;
-  }
   if (rest.rfind("allow(", 0) == 0) {
     std::size_t close = rest.find(')');
     if (close == std::string::npos) {
@@ -74,23 +53,6 @@ void parse_directive(const std::string& body, int line, LexResult& out,
     out.allows.push_back(Allow{rule, trim(tail.substr(1)), line});
     return;
   }
-  if (rest.rfind("lockfree(", 0) == 0) {
-    std::size_t close = rest.rfind(')');
-    std::string reason =
-        close == std::string::npos || close < std::strlen("lockfree(")
-            ? ""
-            : trim(rest.substr(std::strlen("lockfree("),
-                               close - std::strlen("lockfree(")));
-    if (reason.empty()) {
-      out.directive_errors.push_back(
-          {line,
-           "conlint:lockfree requires a reason: \"// "
-           "conlint:lockfree(<why unsynchronised access is sound>)\""});
-      return;
-    }
-    out.lockfrees.push_back(Lockfree{reason, line});
-    return;
-  }
   out.directive_errors.push_back(
       {line, "unrecognised conlint directive: '" + rest + "'"});
 }
@@ -99,7 +61,6 @@ void parse_directive(const std::string& body, int line, LexResult& out,
 
 LexResult lex(const std::string& source) {
   LexResult out;
-  std::vector<int> open_hotpaths;
   const std::size_t n = source.size();
   std::size_t i = 0;
   int line = 1;
@@ -155,8 +116,7 @@ LexResult lex(const std::string& source) {
       const int start_line = line;
       std::size_t end = source.find('\n', i);
       if (end == std::string::npos) end = n;
-      parse_directive(source.substr(i + 2, end - i - 2), start_line, out,
-                      open_hotpaths);
+      parse_directive(source.substr(i + 2, end - i - 2), start_line, out);
       advance(end - i);
       continue;
     }
@@ -165,8 +125,7 @@ LexResult lex(const std::string& source) {
       const int start_line = line;
       std::size_t end = source.find("*/", i + 2);
       const std::size_t stop = end == std::string::npos ? n : end;
-      parse_directive(source.substr(i + 2, stop - i - 2), start_line, out,
-                      open_hotpaths);
+      parse_directive(source.substr(i + 2, stop - i - 2), start_line, out);
       advance((end == std::string::npos ? n : end + 2) - i);
       continue;
     }
@@ -266,11 +225,6 @@ LexResult lex(const std::string& source) {
       out.tokens.push_back({TokKind::kPunct, std::string(1, c), line});
       advance(1);
     }
-  }
-  for (int idx : open_hotpaths) {
-    out.directive_errors.push_back(
-        {out.hotpaths[static_cast<std::size_t>(idx)].begin_line,
-         "conlint:hotpath begin without matching end"});
   }
   return out;
 }

@@ -1,9 +1,9 @@
 // Token scanner for conlint (tools/conlint/README in DESIGN.md §7).
 //
 // conlint deliberately avoids libclang: the project invariants it checks
-// (bump_version pairing, Layer reentrancy, seeded randomness, hot-path
-// allocation, include hygiene) are all visible at token level, and a
-// dependency-free tool can run in every environment the build runs in.
+// (bump_version pairing, Layer reentrancy, seeded randomness, lock order,
+// include hygiene) are all visible at token level, and a dependency-free
+// tool can run in every environment the build runs in.
 // The lexer understands exactly as much C++ as the rules need: comments
 // (where conlint's own directives live), string/char literals including
 // raw strings, preprocessor lines, multi-char operators, identifiers and
@@ -39,27 +39,8 @@ struct Allow {
   int line = 0;
 };
 
-// A // conlint:hotpath begin/end region (inclusive line range).
-struct HotpathRegion {
-  int begin_line = 0;
-  int end_line = 0;  // 0 while unterminated
-};
-
-// A // conlint:lockfree(<reason>) directive. Attaches to the class or
-// function whose head is on this line or the next (comment-above style), or
-// — as a fallback — to the innermost definition containing the line. Marks
-// the type/function as a reviewed lock-free design: relaxed atomics are
-// permitted inside it, and `mutable` members of a lockfree type are exempt
-// from layer-reentrancy. Attachment happens during indexing (index.h); a
-// directive that attaches to nothing is a `directive` error.
-struct Lockfree {
-  std::string reason;
-  int line = 0;
-};
-
-// Problems with conlint's own directives (unknown form, missing reason,
-// unbalanced hotpath markers). Reported under the `directive` rule and not
-// suppressible.
+// Problems with conlint's own directives (unknown form, missing reason).
+// Reported under the `directive` rule and not suppressible.
 struct DirectiveError {
   int line = 0;
   std::string message;
@@ -68,8 +49,6 @@ struct DirectiveError {
 struct LexResult {
   std::vector<Token> tokens;
   std::vector<Allow> allows;
-  std::vector<HotpathRegion> hotpaths;
-  std::vector<Lockfree> lockfrees;
   std::vector<DirectiveError> directive_errors;
   bool has_pragma_once = false;
 };

@@ -16,9 +16,9 @@ bool path_contains(const std::string& path, const char* needle) {
   return path.find(needle) != std::string::npos;
 }
 
-// Rules come in direct/transitive families: an allow(hot-path-alloc) on a
-// line also covers a transitive-hot-path-alloc finding there (one
-// annotation per site, not one per analysis depth).
+// Rules come in direct/transitive families: an allow(determinism) on a
+// line also covers a transitive-determinism finding there (one annotation
+// per site, not one per analysis depth).
 std::string family_base(const std::string& rule) {
   const std::string prefix = "transitive-";
   if (rule.compare(0, prefix.size(), prefix) == 0) {
@@ -52,24 +52,6 @@ struct Sink {
   }
 };
 
-// True if the statement containing token `i` (scanning back to the nearest
-// ';', '{' or '}') carries thread_local/static storage: one-time or
-// per-thread capacity that persists across iterations is not a hot-path
-// allocation.
-bool one_time_storage_stmt(const Toks& t, std::size_t i) {
-  for (std::size_t j = i + 1; j-- > 0;) {
-    if (t[j].kind == TokKind::kPunct &&
-        (t[j].text == ";" || t[j].text == "{" || t[j].text == "}")) {
-      return false;
-    }
-    if (t[j].kind == TokKind::kIdent &&
-        (t[j].text == "thread_local" || t[j].text == "static")) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---- param-version (interprocedural) ---------------------------------------
 
 void rule_param_version(const std::string& path, const ProjectIndex& index,
@@ -95,75 +77,19 @@ void rule_param_version(const std::string& path, const ProjectIndex& index,
 // ---- layer-reentrancy -------------------------------------------------------
 
 void rule_layer_reentrancy(const Toks& t, const Segmentation& seg,
-                           const ProjectIndex& index,
                            const std::set<std::string>& layer_classes,
                            Sink& sink) {
-  // `mutable` members anywhere in a Layer-derived class body — unless the
-  // member's type is a conlint:lockfree-annotated class (a reviewed
-  // internally-synchronised design, e.g. telemetry cells).
+  // `mutable` members anywhere in a Layer-derived class body. Direct member
+  // writes in forward/backward need no rule: both are const, so the
+  // compiler rejects them, and `mutable` is the only way around that.
   for (const ClassRange& c : seg.classes) {
     if (layer_classes.count(c.name) == 0) continue;
     for (std::size_t i = c.open + 1; i < c.close; ++i) {
       if (!is_ident(t, i, "mutable")) continue;
-      bool lockfree_type = false;
-      for (std::size_t j = i + 1; j < c.close; ++j) {
-        if (t[j].kind == TokKind::kPunct &&
-            (t[j].text == ";" || t[j].text == "{" || t[j].text == "=")) {
-          break;
-        }
-        if (t[j].kind == TokKind::kIdent &&
-            index.class_is_lockfree(t[j].text)) {
-          lockfree_type = true;
-          break;
-        }
-      }
-      if (lockfree_type) continue;
       sink.report(t[i].line, "layer-reentrancy",
                   "mutable member in Layer-derived class '" + c.name +
                       "': forward/backward are const and run concurrently "
                       "on shared models (nn/layer.h contract)");
-    }
-  }
-  // Direct member mutation inside forward/backward bodies.
-  static const std::set<std::string> container_mutators = {
-      "fill",       "zero",  "resize", "shrink_rows",  "push_back",
-      "emplace_back", "clear", "reset",  "insert",       "erase"};
-  for (const FunctionInfo& fn : seg.functions) {
-    if (fn.name != "forward" && fn.name != "backward") continue;
-    if (layer_classes.count(fn.class_name) == 0) continue;
-    for (std::size_t i = fn.open + 1; i < fn.close; ++i) {
-      if (t[i].kind != TokKind::kIdent || !ends_with(t[i].text, "_")) continue;
-      // Member access chains (x.y_) are someone else's member.
-      if (i > fn.open + 1 &&
-          (is_punct(t, i - 1, ".") || is_punct(t, i - 1, "->"))) {
-        continue;
-      }
-      std::size_t j = i + 1;
-      bool mutation = false;
-      if (is_punct(t, j, "=") || is_punct(t, j, "+=") ||
-          is_punct(t, j, "-=") || is_punct(t, j, "*=") ||
-          is_punct(t, j, "/=") || is_punct(t, j, "++") ||
-          is_punct(t, j, "--")) {
-        mutation = true;
-      } else if (is_punct(t, j, "[")) {
-        std::size_t close = match_forward(t, j, "[", "]");
-        if (close != npos &&
-            (is_punct(t, close + 1, "=") || is_punct(t, close + 1, "+=") ||
-             is_punct(t, close + 1, "-=") || is_punct(t, close + 1, "*=") ||
-             is_punct(t, close + 1, "/="))) {
-          mutation = true;
-        }
-      } else if ((is_punct(t, j, ".") || is_punct(t, j, "->")) &&
-                 t[j + 1].kind == TokKind::kIdent &&
-                 container_mutators.count(t[j + 1].text) != 0) {
-        mutation = true;
-      }
-      if (!mutation) continue;
-      sink.report(t[i].line, "layer-reentrancy",
-                  "member '" + t[i].text + "' mutated in " + fn.class_name +
-                      "::" + fn.name +
-                      "; forward/backward must keep per-call state in the "
-                      "caller's TapeSlot (nn/layer.h contract)");
     }
   }
 }
@@ -241,106 +167,6 @@ void rule_determinism(const Toks& t, Sink& sink) {
   }
 }
 
-// ---- hot-path-alloc (direct) ------------------------------------------------
-
-void rule_hot_path_alloc(const Toks& t, const LexResult& lx, Sink& sink) {
-  if (lx.hotpaths.empty()) return;
-  auto in_hotpath = [&](int line) {
-    for (const HotpathRegion& r : lx.hotpaths) {
-      if (line >= r.begin_line && (r.end_line == 0 || line <= r.end_line)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || !in_hotpath(t[i].line)) continue;
-    const std::string& s = t[i].text;
-    const bool member_access =
-        i > 0 && (is_punct(t, i - 1, ".") || is_punct(t, i - 1, "->"));
-    if (s == "new" && !member_access && !one_time_storage_stmt(t, i)) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  "operator new inside a conlint:hotpath region");
-      continue;
-    }
-    if (s == "vector" && is_punct(t, i + 1, "<") && !member_access &&
-        !one_time_storage_stmt(t, i)) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  "std::vector constructed inside a conlint:hotpath region");
-      continue;
-    }
-    if ((s == "resize" || s == "push_back" || s == "emplace_back" ||
-         s == "reserve" || s == "push" || s == "emplace") &&
-        member_access && is_punct(t, i + 1, "(") &&
-        !one_time_storage_stmt(t, i)) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  "." + s + "() may allocate inside a conlint:hotpath region");
-      continue;
-    }
-    if (s == "Tensor" && !member_access && !is_punct(t, i + 1, "::") &&
-        !is_punct(t, i + 1, "&") && !is_punct(t, i + 1, "*") &&
-        !is_punct(t, i + 1, ">") && !is_punct(t, i + 1, ",") &&
-        !is_punct(t, i + 1, ")") && !is_punct(t, i + 1, ";") &&
-        !one_time_storage_stmt(t, i)) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  "Tensor constructed inside a conlint:hotpath region "
-                  "(hoist the buffer out of the loop and reuse it)");
-      continue;
-    }
-    if (s == "function" && i > 0 && is_punct(t, i - 1, "::") &&
-        is_punct(t, i + 1, "<")) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  "std::function inside a conlint:hotpath region may "
-                  "heap-allocate its captures; use a template parameter or "
-                  "function_ref-style callable");
-      continue;
-    }
-    if ((s == "make_shared" || s == "make_unique") &&
-        (is_punct(t, i + 1, "<") || is_punct(t, i + 1, "(")) &&
-        !one_time_storage_stmt(t, i)) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  "std::" + s + " inside a conlint:hotpath region");
-      continue;
-    }
-    if ((s == "malloc" || s == "calloc" || s == "realloc") && !member_access &&
-        is_punct(t, i + 1, "(") && !one_time_storage_stmt(t, i)) {
-      sink.report(t[i].line, "hot-path-alloc",
-                  s + "() inside a conlint:hotpath region");
-      continue;
-    }
-  }
-}
-
-// ---- transitive-hot-path-alloc ---------------------------------------------
-
-void rule_transitive_hotpath(const std::string& path,
-                             const ProjectIndex& index, const CallGraph& graph,
-                             Sink& sink) {
-  const FileIndex* fi = index.file(path);
-  if (fi == nullptr || fi->hotpaths.empty()) return;
-  auto in_hotpath = [&](int line) {
-    for (const HotpathRegion& r : fi->hotpaths) {
-      if (line >= r.begin_line && (r.end_line == 0 || line <= r.end_line)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (std::size_t id : fi->function_ids) {
-    const FunctionDef& fn = index.functions()[id];
-    for (const CallSite& c : fn.calls) {
-      if (c.member || !in_hotpath(c.line)) continue;
-      const std::string chain = graph.alloc_chain(fn, c);
-      if (chain.empty()) continue;
-      sink.report(c.line, "transitive-hot-path-alloc",
-                  "call to '" + c.name +
-                      "' inside a conlint:hotpath region reaches an "
-                      "allocation: " +
-                      chain);
-    }
-  }
-}
-
 // ---- transitive-determinism -------------------------------------------------
 
 void rule_transitive_determinism(const std::string& path,
@@ -363,31 +189,6 @@ void rule_transitive_determinism(const std::string& path,
                       "; results must not depend on hidden entropy "
                       "(util/rng.h)");
     }
-  }
-}
-
-// ---- atomic-discipline ------------------------------------------------------
-
-void rule_atomic_discipline(const std::string& path, const ProjectIndex& index,
-                            Sink& sink) {
-  const FileIndex* fi = index.file(path);
-  if (fi == nullptr) return;
-  const char* const advice =
-      "memory_order_relaxed outside a conlint:lockfree(<reason>) type or "
-      "function: relaxed ordering needs a recorded argument for why "
-      "unsynchronised access is sound (DESIGN.md §7)";
-  for (std::size_t id : fi->function_ids) {
-    const FunctionDef& fn = index.functions()[id];
-    if (fn.relaxed_lines.empty() || fn.lockfree) continue;
-    if (!fn.class_name.empty() && index.class_is_lockfree(fn.class_name)) {
-      continue;
-    }
-    for (int line : fn.relaxed_lines) {
-      sink.report(line, "atomic-discipline", advice);
-    }
-  }
-  for (int line : fi->orphan_relaxed_lines) {
-    sink.report(line, "atomic-discipline", advice);
   }
 }
 
@@ -440,11 +241,8 @@ void rule_include_hygiene(const std::string& path, const Toks& t,
 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> names = {
-      "param-version",      "layer-reentrancy",
-      "determinism",        "transitive-determinism",
-      "hot-path-alloc",     "transitive-hot-path-alloc",
-      "lock-order",         "atomic-discipline",
-      "include-hygiene"};
+      "param-version", "layer-reentrancy", "determinism",
+      "transitive-determinism", "lock-order", "include-hygiene"};
   return names;
 }
 
@@ -472,23 +270,14 @@ FileLint lint_source(const std::string& path, const std::string& source,
   for (const DirectiveError& e : lx.directive_errors) {
     out.diagnostics.push_back({path, e.line, "directive", e.message});
   }
-  if (const FileIndex* fi = index.file(path)) {
-    for (const DirectiveError& e : fi->lockfree_errors) {
-      out.diagnostics.push_back({path, e.line, "directive", e.message});
-    }
-  }
 
   Segmentation seg = segment(lx.tokens);
   const bool is_header = ends_with(path, ".h") || ends_with(path, ".hpp");
 
   rule_param_version(path, index, graph, sink);
-  rule_layer_reentrancy(lx.tokens, seg, index, index.derived_from("Layer"),
-                        sink);
+  rule_layer_reentrancy(lx.tokens, seg, index.derived_from("Layer"), sink);
   if (!determinism_exempt_path(path)) rule_determinism(lx.tokens, sink);
   rule_transitive_determinism(path, index, graph, sink);
-  rule_hot_path_alloc(lx.tokens, lx, sink);
-  rule_transitive_hotpath(path, index, graph, sink);
-  rule_atomic_discipline(path, index, sink);
   rule_include_hygiene(path, lx.tokens, lx, is_header, sink);
 
   std::sort(out.diagnostics.begin(), out.diagnostics.end());

@@ -1,32 +1,24 @@
 // conlint rule engine: project-invariant checks over token streams, backed
-// by the two-pass ProjectIndex/CallGraph (index.h, callgraph.h).
+// by the two-pass ProjectIndex/CallGraph (index.h, callgraph.h). Each rule
+// guards a contract the paper's numbers rest on (DESIGN.md §7); the
+// allocation contract is measured, not linted (tests/test_heap.cpp).
 //
-// Per-file rules (DESIGN.md §7 documents the invariant behind each):
+// Per-file rules:
 //   param-version      — writes to Parameter value/mask/transform storage
 //                        must be paired with bump_version() in the same
-//                        function body OR in every indexed caller chain
-//                        (interprocedural since v2), or the packed-weight
-//                        cache serves stale panels.
-//   layer-reentrancy   — Layer-derived classes: no `mutable` members
-//                        (unless the member's type is conlint:lockfree-
-//                        annotated), and no direct member mutation inside
-//                        forward/backward.
+//                        function body OR in every indexed caller chain,
+//                        or the packed-weight cache serves stale panels.
+//   layer-reentrancy   — Layer-derived classes have no `mutable` members:
+//                        forward/backward are const and run concurrently on
+//                        shared models.
 //   determinism        — no unseeded/wall-clock randomness outside
-//                        src/obs/ and src/util/.
-//   hot-path-alloc     — no allocation inside `// conlint:hotpath` regions
-//                        (thread_local/static one-time setup is exempt).
+//                        src/obs/ and src/util/: attacks and sweeps are
+//                        bit-reproducible from the experiment seed.
 //   include-hygiene    — #pragma once, no `using namespace` in headers,
 //                        intrinsics headers only under src/tensor/kernels/.
-//   atomic-discipline  — memory_order_relaxed only inside types or
-//                        functions annotated conlint:lockfree(<reason>).
 //   directive          — malformed conlint directives; never suppressible.
 //
 // Transitive rules (need the call graph):
-//   transitive-hot-path-alloc — a call made inside a hotpath region reaches
-//                        an allocation at any depth; the chain is printed.
-//                        Suppressible by allow(hot-path-alloc) too: one
-//                        annotation covers both the direct and the
-//                        transitive family at a site.
 //   transitive-determinism — non-exempt code reaches a randomness source
 //                        that lives in an exempt file (sources in
 //                        non-exempt files are already flagged directly).

@@ -161,13 +161,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Allows consumed as transitive-walk barriers never surface as suppressed
-  // findings (the barrier kills the finding), so merge them in before the
-  // stale pass or they would be reported as dead annotations.
-  for (const auto& [file, used] : graph.barrier_allows_used()) {
-    used_allows[file].insert(used.begin(), used.end());
-  }
-
   const std::vector<conlint::Diagnostic> stale =
       conlint::stale_suppressions(index, linted, used_allows);
   if (strict_suppressions) {
