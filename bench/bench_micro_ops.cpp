@@ -282,7 +282,6 @@ nn::Sequential quantized_fc_model() {
       std::move(m),
       compress::QuantizeOptions{
           .format = compress::FixedPointFormat::paper_format(8),
-          .quantize_weights = true,
           .quantize_activations = true});
 }
 
@@ -297,7 +296,6 @@ nn::Sequential quantized_conv_model() {
       std::move(m),
       compress::QuantizeOptions{
           .format = compress::FixedPointFormat::paper_format(8),
-          .quantize_weights = true,
           .quantize_activations = true});
 }
 

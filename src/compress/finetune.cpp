@@ -56,7 +56,6 @@ nn::Sequential make_quantized_model(const nn::Sequential& baseline,
                                     bool quantize_activations) {
   QuantizeOptions options{
       .format = FixedPointFormat::paper_format(bitwidth),
-      .quantize_weights = true,
       .quantize_activations = quantize_activations,
   };
   nn::Sequential model = quantize_model(baseline, options);

@@ -26,7 +26,7 @@ namespace {
 // layer is not fixed-point quantised.
 const FixedPointFormat* weight_format_of(nn::Parameter& w) {
   const auto* t =
-      dynamic_cast<const FixedPointWeightTransform*>(w.transform.get());
+      dynamic_cast<const FixedPointWeightTransform*>(w.transform().get());
   return t == nullptr ? nullptr : &t->format();
 }
 

@@ -49,10 +49,7 @@ DnsPruner::DnsPruner(nn::Sequential& model, DnsConfig config)
   }
   for (nn::Parameter* p : model_->parameters()) {
     if (!p->compressible) continue;
-    if (!p->has_mask()) {
-      p->mask = Tensor(p->value.shape(), 1.0f);
-      p->bump_version();
-    }
+    if (!p->has_mask()) p->set_mask(Tensor(p->value().shape(), 1.0f));
     pruned_params_.push_back(p);
   }
   if (pruned_params_.empty()) {
@@ -63,32 +60,34 @@ DnsPruner::DnsPruner(nn::Sequential& model, DnsConfig config)
 
 void DnsPruner::update_masks() {
   for (nn::Parameter* p : pruned_params_) {
-    const float alpha = magnitude_threshold(p->value, current_target_);
+    const float alpha = magnitude_threshold(p->value(), current_target_);
     const float beta = alpha * static_cast<float>(1.0 + config_.hysteresis);
-    const Index n = p->value.numel();
-    const float* w = p->value.data();
-    float* m = p->mask.data();
-    for (Index i = 0; i < n; ++i) {
-      const float mag = std::fabs(w[i]);
-      if (mag < alpha) {
-        m[i] = 0.0f;  // prune (Eq. 3 first branch)
-      } else if (mag > beta) {
-        // restore (Eq. 3 third branch) — unless one-shot mode forbids it
-        if (config_.allow_recovery || m[i] != 0.0f) m[i] = 1.0f;
+    const Index n = p->value().numel();
+    // Mask rewritten in place; edit() bumps the version so packed-weight
+    // panels built from the old effective weights are dropped
+    // (nn/packed_weights.h).
+    p->edit([&](const Tensor& value, Tensor& mask) {
+      const float* w = value.data();
+      float* m = mask.data();
+      for (Index i = 0; i < n; ++i) {
+        const float mag = std::fabs(w[i]);
+        if (mag < alpha) {
+          m[i] = 0.0f;  // prune (Eq. 3 first branch)
+        } else if (mag > beta) {
+          // restore (Eq. 3 third branch) — unless one-shot mode forbids it
+          if (config_.allow_recovery || m[i] != 0.0f) m[i] = 1.0f;
+        }
+        // in the hysteresis band [α, β] the mask keeps its previous state
       }
-      // in the hysteresis band [α, β] the mask keeps its previous state
-    }
-    // Mask rewritten in place: invalidate packed-weight panels built from
-    // the old effective weights (nn/packed_weights.h).
-    p->bump_version();
+    });
   }
 }
 
 double DnsPruner::density() const {
   Index total = 0, nonzero = 0;
   for (const nn::Parameter* p : pruned_params_) {
-    total += p->mask.numel();
-    for (float m : p->mask.flat()) {
+    total += p->mask().numel();
+    for (float m : p->mask().flat()) {
       if (m != 0.0f) ++nonzero;
     }
   }

@@ -48,15 +48,10 @@ nn::Sequential quantize_model(const nn::Sequential& model,
   nn::Sequential q = model.clone();
   q.set_name(model.name() + "-q" + std::to_string(options.format.total_bits));
 
-  if (options.quantize_weights) {
-    auto transform =
-        std::make_shared<const FixedPointWeightTransform>(options.format);
-    for (nn::Parameter* p : q.parameters()) {
-      if (p->compressible) {
-        p->transform = transform;
-        p->bump_version();
-      }
-    }
+  auto transform =
+      std::make_shared<const FixedPointWeightTransform>(options.format);
+  for (nn::Parameter* p : q.parameters()) {
+    if (p->compressible) p->set_transform(transform);
   }
 
   if (options.quantize_activations) {
@@ -94,12 +89,9 @@ nn::Sequential strip_quantization(const nn::Sequential& model) {
     if (dynamic_cast<const QuantActivation*>(&layer) != nullptr) continue;
     out.add(layer.clone());
   }
-  for (nn::Parameter* p : out.parameters()) {
-    p->transform.reset();
-    // Without the bump a layer that already packed its quantized panels
-    // would keep serving them after the transform is gone.
-    p->bump_version();
-  }
+  // set_transform bumps the version: a layer that already packed its
+  // quantized panels drops them once the transform is gone.
+  for (nn::Parameter* p : out.parameters()) p->set_transform(nullptr);
   return out;
 }
 

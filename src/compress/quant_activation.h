@@ -35,13 +35,12 @@ class QuantActivation : public nn::Layer {
 
 struct QuantizeOptions {
   FixedPointFormat format;
-  bool quantize_weights = true;
   bool quantize_activations = true;
 };
 
 // Returns a deep copy of `model` with:
-//  - FixedPointWeightTransform attached to every compressible parameter
-//    (when quantize_weights), and
+//  - FixedPointWeightTransform attached to every compressible parameter,
+//    and
 //  - QuantActivation layers inserted after every parameterised or
 //    activation layer (when quantize_activations), so all intermediate
 //    activations flow through the fixed-point grid.

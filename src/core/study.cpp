@@ -138,7 +138,6 @@ ModelArtifact Study::quantized_variant(int bits, bool quantize_activations) {
     // fixed-point weight transforms then load from the payload.
     compress::QuantizeOptions options{
         .format = compress::FixedPointFormat::paper_format(bits),
-        .quantize_weights = true,
         .quantize_activations = quantize_activations,
     };
     model = compress::quantize_model(

@@ -102,17 +102,17 @@ void write_payload(std::ostream& f, const std::vector<nn::Parameter*>& params) {
   write_pod<std::uint64_t>(f, params.size());
   for (nn::Parameter* p : params) {
     write_string(f, p->name);
-    write_tensor_body(f, p->value);
+    write_tensor_body(f, p->value());
     write_pod<std::uint8_t>(f, p->has_mask() ? 1 : 0);
-    if (p->has_mask()) write_tensor_body(f, p->mask);
+    if (p->has_mask()) write_tensor_body(f, p->mask());
     if (const auto* fp =
             dynamic_cast<const compress::FixedPointWeightTransform*>(
-                p->transform.get())) {
+                p->transform().get())) {
       write_pod<std::uint8_t>(f, 1);
       write_pod<std::int32_t>(f, fp->format().total_bits);
       write_pod<std::int32_t>(f, fp->format().integer_bits);
     } else {
-      if (p->transform != nullptr) {
+      if (p->transform() != nullptr) {
         throw std::runtime_error("save_model: parameter " + p->name +
                                  " carries an unserializable weight transform");
       }
@@ -136,21 +136,17 @@ void load_payload(std::istream& f, const std::vector<nn::Parameter*>& params,
                                " vs " + p->name);
     }
     tensor::Tensor value = read_tensor_body(f);
-    if (value.shape() != p->value.shape()) {
+    if (value.shape() != p->value().shape()) {
       throw std::runtime_error("checkpoint shape mismatch for " + name);
     }
-    p->value = std::move(value);
-    const auto has_mask = read_pod<std::uint8_t>(f);
-    if (has_mask) {
-      tensor::Tensor mask = read_tensor_body(f);
-      if (mask.shape() != p->value.shape()) {
+    tensor::Tensor mask;
+    if (read_pod<std::uint8_t>(f) != 0) {
+      mask = read_tensor_body(f);
+      if (mask.shape() != value.shape()) {
         throw std::runtime_error("checkpoint mask shape mismatch for " + name);
       }
-      p->mask = std::move(mask);
-    } else {
-      p->mask = tensor::Tensor();
     }
-    p->transform.reset();
+    std::shared_ptr<const nn::WeightTransform> transform;
     const auto kind = read_pod<std::uint8_t>(f);
     if (kind == 1) {
       compress::FixedPointFormat fmt;
@@ -159,7 +155,7 @@ void load_payload(std::istream& f, const std::vector<nn::Parameter*>& params,
       if (!fmt.valid()) {
         throw std::runtime_error("checkpoint: bad fixed-point record");
       }
-      p->transform =
+      transform =
           std::make_shared<const compress::FixedPointWeightTransform>(fmt);
     } else if (kind != 0) {
       // Kind 2 was the weight-clustering codebook, which this build no
@@ -167,9 +163,11 @@ void load_payload(std::istream& f, const std::vector<nn::Parameter*>& params,
       throw std::runtime_error("checkpoint: unknown transform kind " +
                                std::to_string(kind) + " in " + path);
     }
-    // Everything about this parameter may have changed; invalidate packed
-    // weight panels (nn/packed_weights.h).
-    p->bump_version();
+    // Each setter bumps the version, so packed weight panels built before
+    // the load are dropped (nn/packed_weights.h).
+    p->set_value(std::move(value));
+    p->set_mask(std::move(mask));
+    p->set_transform(std::move(transform));
   }
 }
 
@@ -208,7 +206,7 @@ store::Hash topology_signature(const nn::Sequential& model) {
   for (const nn::Parameter* param : model.parameters()) {
     h.update(param->name);
     h.update("\n");
-    for (tensor::Index d : param->value.shape().dims()) {
+    for (tensor::Index d : param->value().shape().dims()) {
       const std::int64_t dim = d;
       h.update(&dim, sizeof(dim));
     }
@@ -223,21 +221,21 @@ store::Hash model_state_hash(const nn::Sequential& model) {
   for (const nn::Parameter* param : model.parameters()) {
     h.update(param->name);
     h.update("\n");
-    for (tensor::Index d : param->value.shape().dims()) {
+    for (tensor::Index d : param->value().shape().dims()) {
       const std::int64_t dim = d;
       h.update(&dim, sizeof(dim));
     }
-    const tensor::Tensor& value = param->value;
+    const tensor::Tensor& value = param->value();
     h.update(value.data(),
              static_cast<std::size_t>(value.numel()) * sizeof(float));
     h.update(param->has_mask() ? "m1" : "m0");
     if (param->has_mask()) {
-      const tensor::Tensor& mask = param->mask;
+      const tensor::Tensor& mask = param->mask();
       h.update(mask.data(),
                static_cast<std::size_t>(mask.numel()) * sizeof(float));
     }
-    if (param->transform != nullptr) {
-      h.update(param->transform->describe());
+    if (param->transform() != nullptr) {
+      h.update(param->transform()->describe());
     }
     h.update(";");
   }

@@ -43,8 +43,10 @@ Conv2d::Conv2d(const Conv2dSpec& spec, con::util::Rng& rng,
   if (spec.in_channels <= 0 || spec.out_channels <= 0 || spec.kernel <= 0) {
     throw std::invalid_argument(name_ + ": invalid conv spec");
   }
-  tensor::fill_kaiming_normal(weight_.value, rng,
-                              spec.in_channels * spec.kernel * spec.kernel);
+  weight_.edit([&](Tensor& w, Tensor&) {
+    tensor::fill_kaiming_normal(w, rng,
+                                spec.in_channels * spec.kernel * spec.kernel);
+  });
   bias_.compressible = false;
 }
 
@@ -91,7 +93,8 @@ Tensor Conv2d::forward(const Tensor& x, bool train, TapeSlot& slot,
     slot.aux.resize(y.shape());
   }
   tensor::gemm::conv2d_nn(slot.packed->fwd, x.data(), n, slot.geom,
-                          bias_.value.data(), y.data(), tail, slot.aux.data());
+                          bias_.value().data(), y.data(), tail,
+                          slot.aux.data());
   return y;
 }
 

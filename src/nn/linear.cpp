@@ -37,7 +37,9 @@ Linear::Linear(Index in_features, Index out_features, con::util::Rng& rng,
       name_(std::move(layer_name)),
       weight_(name_ + ".weight", Tensor({out_features, in_features})),
       bias_(name_ + ".bias", Tensor({out_features})) {
-  tensor::fill_kaiming_normal(weight_.value, rng, in_features);
+  weight_.edit([&](Tensor& w, Tensor&) {
+    tensor::fill_kaiming_normal(w, rng, in_features);
+  });
   bias_.compressible = false;
 }
 
@@ -62,7 +64,7 @@ Tensor Linear::forward(const Tensor& x, bool train, TapeSlot& slot,
   if (!tail.empty() && slot.aux.shape() != y.shape()) {
     slot.aux.resize(y.shape());
   }
-  tensor::bias_add_inplace(y, bias_.value, tail, slot.aux.data());
+  tensor::bias_add_inplace(y, bias_.value(), tail, slot.aux.data());
   return y;
 }
 

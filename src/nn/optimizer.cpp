@@ -11,14 +11,14 @@ using tensor::Index;
 Sgd::Sgd(std::vector<Parameter*> params, SgdConfig config)
     : params_(std::move(params)), config_(config) {
   velocity_.reserve(params_.size());
-  for (Parameter* p : params_) velocity_.emplace_back(p->value.shape());
+  for (Parameter* p : params_) velocity_.emplace_back(p->value().shape());
 }
 
 void Sgd::step() {
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
     Tensor& vel = velocity_[i];
-    const Index n = p.value.numel();
+    const Index n = p.value().numel();
     if (p.grad.numel() != n) {
       throw std::logic_error("Sgd: grad size mismatch for " + p.name);
     }
@@ -26,23 +26,24 @@ void Sgd::step() {
     if (gated && p.grad_gate.numel() != n) {
       throw std::logic_error("Sgd: grad_gate size mismatch for " + p.name);
     }
-    float* w = p.value.data();
     const float* g = p.grad.data();
     const float* gate = gated ? p.grad_gate.data() : nullptr;
     float* v = vel.data();
     const float lr = config_.learning_rate;
     const float mu = config_.momentum;
     const float wd = config_.weight_decay;
-    for (Index j = 0; j < n; ++j) {
-      float gj = g[j];
-      if (gate) gj *= gate[j];
-      if (wd != 0.0f) gj += wd * w[j];
-      v[j] = mu * v[j] + gj;
-      w[j] -= lr * v[j];
-    }
-    // In-place write: invalidate any packed-weight panels built from the
-    // old values (nn/packed_weights.h).
-    p.bump_version();
+    // edit() bumps the version, so packed-weight panels built from the old
+    // values are not served again (nn/packed_weights.h).
+    p.edit([&](Tensor& value, Tensor&) {
+      float* w = value.data();
+      for (Index j = 0; j < n; ++j) {
+        float gj = g[j];
+        if (gate) gj *= gate[j];
+        if (wd != 0.0f) gj += wd * w[j];
+        v[j] = mu * v[j] + gj;
+        w[j] -= lr * v[j];
+      }
+    });
   }
 }
 

@@ -30,12 +30,13 @@ std::int64_t nearest_code(float v, double step, const char* what,
 
 std::shared_ptr<const PackedWeights> PackedWeightsCache::get(
     const Parameter& p, BuildFn build) const {
-  const float* mask_data = p.mask.empty() ? nullptr : p.mask.data();
+  const float* mask_data = p.mask().empty() ? nullptr : p.mask().data();
+  const void* transform = p.transform().get();
   std::lock_guard<std::mutex> lock(mu_);
-  if (current_ != nullptr && current_->version == p.version &&
-      current_->value_data == p.value.data() &&
+  if (current_ != nullptr && current_->version == p.version() &&
+      current_->value_data == p.value().data() &&
       current_->mask_data == mask_data &&
-      current_->transform == p.transform.get()) {
+      current_->transform == transform) {
     static obs::Counter& hits = obs::counter("packed_cache.hit");
     hits.add(1);
     return current_;
@@ -50,10 +51,10 @@ std::shared_ptr<const PackedWeights> PackedWeightsCache::get(
   // harmless but wasteful, and rebuilds are rare (weights are frozen for
   // the whole of an attack run).
   auto pw = std::make_shared<PackedWeights>();
-  pw->version = p.version;
-  pw->value_data = p.value.data();
+  pw->version = p.version();
+  pw->value_data = p.value().data();
   pw->mask_data = mask_data;
-  pw->transform = p.transform.get();
+  pw->transform = transform;
   pw->effective = p.effective(pw->gate);
   build(*pw);
   current_ = pw;
@@ -63,14 +64,15 @@ std::shared_ptr<const PackedWeights> PackedWeightsCache::get(
 std::shared_ptr<const PackedInt8Weights> PackedWeightsCache::get_int8(
     const Parameter& w, const Parameter& bias, const Int8FormatKey& key,
     BuildInt8Fn build) const {
-  const float* mask_data = w.mask.empty() ? nullptr : w.mask.data();
+  const float* mask_data = w.mask().empty() ? nullptr : w.mask().data();
+  const void* transform = w.transform().get();
   std::lock_guard<std::mutex> lock(mu_);
-  if (int8_current_ != nullptr && int8_current_->version == w.version &&
-      int8_current_->value_data == w.value.data() &&
+  if (int8_current_ != nullptr && int8_current_->version == w.version() &&
+      int8_current_->value_data == w.value().data() &&
       int8_current_->mask_data == mask_data &&
-      int8_current_->transform == w.transform.get() &&
-      int8_current_->bias_version == bias.version &&
-      int8_current_->bias_data == bias.value.data() &&
+      int8_current_->transform == transform &&
+      int8_current_->bias_version == bias.version() &&
+      int8_current_->bias_data == bias.value().data() &&
       int8_current_->key == key) {
     static obs::Counter& hits = obs::counter("packed_cache.int8.hit");
     hits.add(1);
@@ -97,12 +99,12 @@ std::shared_ptr<const PackedInt8Weights> PackedWeightsCache::get_int8(
   }
 
   auto pw = std::make_shared<PackedInt8Weights>();
-  pw->version = w.version;
-  pw->value_data = w.value.data();
+  pw->version = w.version();
+  pw->value_data = w.value().data();
   pw->mask_data = mask_data;
-  pw->transform = w.transform.get();
-  pw->bias_version = bias.version;
-  pw->bias_data = bias.value.data();
+  pw->transform = transform;
+  pw->bias_version = bias.version();
+  pw->bias_data = bias.value().data();
   pw->key = key;
 
   Tensor gate;
@@ -144,10 +146,10 @@ std::shared_ptr<const PackedInt8Weights> PackedWeightsCache::get_int8(
   // past this bound the backend would silently wrap, so refuse loudly.
   const double acc_scale = sw * std::ldexp(1.0, -afrac);
   std::int64_t max_abs_bias = 0;
-  pw->bias_codes.reserve(static_cast<std::size_t>(bias.value.numel()));
-  for (tensor::Index i = 0; i < bias.value.numel(); ++i) {
+  pw->bias_codes.reserve(static_cast<std::size_t>(bias.value().numel()));
+  for (tensor::Index i = 0; i < bias.value().numel(); ++i) {
     const std::int64_t code =
-        nearest_code(bias.value[i], acc_scale, "bias", i);
+        nearest_code(bias.value()[i], acc_scale, "bias", i);
     max_abs_bias = std::max<std::int64_t>(max_abs_bias,
                                           code < 0 ? -code : code);
     pw->bias_codes.push_back(static_cast<std::int32_t>(code));

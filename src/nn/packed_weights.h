@@ -8,10 +8,12 @@
 //
 //   (version, value.data(), mask.data(), transform.get())
 //
-// `version` is the authoritative signal — every mutation site (optimizer
-// step, pruner mask update, transform swap, checkpoint load) bumps it (see
-// Parameter::bump_version). The storage pointers are a belt-and-braces check that catches tensor *reassignment*
-// even where a bump was forgotten; they cannot catch in-place writes or
+// `version` is the authoritative signal — Parameter's only write paths
+// (set_value, set_mask, set_transform, edit) each bump it, so an optimizer
+// step, pruner mask update, transform swap or checkpoint load always
+// reaches the cache (nn/parameter.h). The storage pointers are a
+// belt-and-braces check that catches tensor *reassignment* should the
+// counter ever be defeated; they cannot catch in-place writes or
 // same-capacity copy-assignment on their own, which is why the counter
 // exists.
 //
@@ -128,13 +130,13 @@ class PackedWeightsCache {
 
   // The int8 twin, in its own slot (a layer alternates freely between the
   // float and integer paths without thrashing either cache). Quantises
-  // w.effective() to codes — throwing, with the offending index and value,
-  // if any weight or bias is non-finite or past ±2⁶² at its scale (checked
-  // before any float→integer cast), any weight is off the key's grid, or
-  // the format exceeds 8 bits —
-  // snaps the bias to accumulator scale, validates int32 accumulator
-  // headroom (depth·2¹⁴ plus |bias| must stay below 2³¹), computes the
-  // requantisation constants, then lets `build` pack the panels.
+  // w's effective weights to codes — throwing, with the offending index
+  // and value, if any weight or bias is non-finite or past ±2⁶² at its
+  // scale (checked before any float→integer cast), any weight is off the
+  // key's grid, or the format exceeds 8 bits — snaps the bias to
+  // accumulator scale, validates int32 accumulator headroom (depth·2¹⁴
+  // plus |bias| must stay below 2³¹), computes the requantisation
+  // constants, then lets `build` pack the panels.
   [[nodiscard]] std::shared_ptr<const PackedInt8Weights> get_int8(
       const Parameter& w, const Parameter& bias, const Int8FormatKey& key,
       BuildInt8Fn build) const;

@@ -6,31 +6,49 @@
 
 namespace con::nn {
 
-Tensor Parameter::effective(Tensor& gate_out) const {
-  Tensor eff = value;
-  if (has_mask()) {
-    if (mask.shape() != value.shape()) {
-      throw std::logic_error("parameter " + name + ": mask shape " +
-                             mask.shape().to_string() + " != value shape " +
-                             value.shape().to_string());
-    }
-    tensor::mul_inplace(eff, mask);
+void Parameter::set_value(Tensor value) {
+  check_shapes(value, mask_);
+  value_ = std::move(value);
+  bump_version();
+}
+
+void Parameter::set_mask(Tensor mask) {
+  check_shapes(value_, mask);
+  mask_ = std::move(mask);
+  bump_version();
+}
+
+void Parameter::set_transform(
+    std::shared_ptr<const WeightTransform> transform) {
+  transform_ = std::move(transform);
+  bump_version();
+}
+
+void Parameter::check_shapes(const Tensor& value, const Tensor& mask) const {
+  if (!mask.empty() && mask.shape() != value.shape()) {
+    throw std::invalid_argument("parameter " + name + ": mask shape " +
+                                mask.shape().to_string() +
+                                " != value shape " +
+                                value.shape().to_string());
   }
-  if (transform) {
+}
+
+Tensor Parameter::effective(Tensor& gate_out) const {
+  Tensor eff = value_;
+  if (has_mask()) tensor::mul_inplace(eff, mask_);
+  if (transform_) {
     Tensor out(eff.shape());
     gate_out = Tensor(eff.shape());
-    transform->apply(eff, out, gate_out);
+    transform_->apply(eff, out, gate_out);
     return out;
   }
   gate_out = Tensor();
   return eff;
 }
 
-Tensor Parameter::effective() { return effective(grad_gate); }
-
 double Parameter::pruned_fraction() const {
   if (!has_mask()) return 0.0;
-  return tensor::zero_fraction(mask);
+  return tensor::zero_fraction(mask_);
 }
 
 }  // namespace con::nn

@@ -35,37 +35,55 @@ class WeightTransform {
   virtual std::string describe() const = 0;
 };
 
-struct Parameter {
+// value, mask and transform are private: every write goes through a method
+// that bumps `version`, the counter the packed-weight cache
+// (nn/packed_weights.h) keys on, so a write that would leave stale panels
+// behind does not compile.
+class Parameter {
+ public:
   std::string name;
-  Tensor value;
   // Gradient accumulator. Mutable because it is not logical model state:
   // const (reentrant) backward passes may accumulate into it when their
   // tape asks for parameter gradients — by contract only one such pass
   // runs at a time (training is single-threaded).
   mutable Tensor grad;
-  // Pruning mask; empty tensor means "dense". Same shape as value when set.
-  Tensor mask;
   // Gradient gate consumed by the optimizers at step() time; refreshed by
   // train-mode forward passes. Empty when no transform is attached. Mutable
   // for the same reason as `grad`.
   mutable Tensor grad_gate;
-  std::shared_ptr<const WeightTransform> transform;
   // Dense parameters that should never be pruned/quantised (biases) set
   // this to false; compression passes respect it.
   bool compressible = true;
-  // Mutation counter backing the packed-weight cache (nn/packed_weights.h).
-  // Contract: any code that changes what `effective()` would return — an
-  // optimizer step, a pruner mask refresh, a transform swap, a checkpoint
-  // load — must call bump_version(). The cache also fingerprints the
-  // value/mask/transform storage pointers, but that alone is defeated by
-  // same-shape copy-assignment (std::vector reuses the allocation), so the
-  // counter is the authoritative signal.
-  std::uint64_t version = 1;
 
   explicit Parameter(std::string param_name, Tensor initial)
       : name(std::move(param_name)),
-        value(std::move(initial)),
-        grad(value.shape()) {}
+        grad(initial.shape()),
+        value_(std::move(initial)) {}
+
+  const Tensor& value() const { return value_; }
+  // Pruning mask; empty tensor means "dense". Same shape as value when set.
+  const Tensor& mask() const { return mask_; }
+  const std::shared_ptr<const WeightTransform>& transform() const {
+    return transform_;
+  }
+  // Changes whenever value, mask or transform does (and never otherwise).
+  std::uint64_t version() const { return version_; }
+
+  // Replace one field. set_value and set_mask throw std::invalid_argument,
+  // naming the parameter and leaving it unchanged, when the result would
+  // pair a mask with a value of another shape.
+  void set_value(Tensor value);
+  void set_mask(Tensor mask);
+  void set_transform(std::shared_ptr<const WeightTransform> transform);
+
+  // In-place write: calls fn(value, mask), then bumps the version. Throws
+  // like set_mask if fn left the two shapes apart.
+  template <class Fn>
+  void edit(Fn&& fn) {
+    fn(value_, mask_);
+    bump_version();
+    check_shapes(value_, mask_);
+  }
 
   // The weights actually used by the forward pass: transform(value ⊙ mask).
   // Writes the straight-through-estimator gate (empty when no transform)
@@ -73,20 +91,25 @@ struct Parameter {
   // forwards on a shared model do not race.
   Tensor effective(Tensor& gate_out) const;
 
-  // Legacy single-threaded form: refreshes member grad_gate as a side
-  // effect. Kept for analysis code that only wants the weights.
-  Tensor effective();
-
   // True if a mask is attached (even an all-ones one).
-  bool has_mask() const { return !mask.empty(); }
+  bool has_mask() const { return !mask_.empty(); }
 
   // Fraction of mask entries equal to zero; 0 for dense parameters.
   double pruned_fraction() const;
 
   void zero_grad() { grad.zero(); }
 
-  // Declare that value/mask/transform changed; see `version`.
-  void bump_version() { ++version; }
+ private:
+  void bump_version() { ++version_; }
+  void check_shapes(const Tensor& value, const Tensor& mask) const;
+
+  Tensor value_;
+  Tensor mask_;
+  std::shared_ptr<const WeightTransform> transform_;
+  // The cache also fingerprints the value/mask/transform storage pointers,
+  // but same-shape copy-assignment reuses the allocation, so the counter is
+  // the authoritative signal.
+  std::uint64_t version_ = 1;
 };
 
 }  // namespace con::nn

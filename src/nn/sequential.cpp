@@ -156,7 +156,7 @@ void Sequential::zero_grad() {
 
 tensor::Index Sequential::num_parameters() const {
   tensor::Index n = 0;
-  for (const Parameter* p : parameters()) n += p->value.numel();
+  for (const Parameter* p : parameters()) n += p->value().numel();
   return n;
 }
 
@@ -165,13 +165,13 @@ double Sequential::density() const {
   tensor::Index nonzero = 0;
   for (const Parameter* p : parameters()) {
     if (!p->compressible) continue;
-    total += p->value.numel();
+    total += p->value().numel();
     if (p->has_mask()) {
-      for (float m : p->mask.flat()) {
+      for (float m : p->mask().flat()) {
         if (m != 0.0f) ++nonzero;
       }
     } else {
-      nonzero += p->value.numel();
+      nonzero += p->value().numel();
     }
   }
   if (total == 0) return 1.0;

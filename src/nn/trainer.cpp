@@ -7,7 +7,6 @@
 #include "nn/loss.h"
 #include "nn/tape.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 #include "util/threadpool.h"
 
 namespace con::nn {
@@ -56,8 +55,7 @@ void check_dataset(const Tensor& images, const std::vector<int>& labels) {
 TrainStats train_classifier(Sequential& model, const Tensor& images,
                             const std::vector<int>& labels,
                             const TrainConfig& config,
-                            const PostStepHook& post_step,
-                            const PostEpochHook& post_epoch) {
+                            const PostStepHook& post_step) {
   check_dataset(images, labels);
   const Index n = images.dim(0);
 
@@ -102,12 +100,6 @@ TrainStats train_classifier(Sequential& model, const Tensor& images,
       epoch_loss += loss.loss;
       ++epoch_batches;
       ++global_step;
-      if (config.log_every_steps > 0 &&
-          global_step % config.log_every_steps == 0) {
-        con::util::log_info("%s epoch %d step %d loss %.4f",
-                            model.name().c_str(), epoch, global_step,
-                            loss.loss);
-      }
       if (post_step) {
         post_step(StepContext{.epoch = epoch,
                               .step_in_epoch = epoch_batches - 1,
@@ -117,7 +109,6 @@ TrainStats train_classifier(Sequential& model, const Tensor& images,
     }
     stats.epoch_losses.push_back(
         static_cast<float>(epoch_loss / std::max(1, epoch_batches)));
-    if (post_epoch) post_epoch(epoch);
   }
   stats.steps = global_step;
   return stats;

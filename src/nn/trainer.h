@@ -20,7 +20,6 @@ struct TrainConfig {
   float weight_decay = 1e-4f;
   std::uint64_t shuffle_seed = 0x7ea1ULL;
   bool use_paper_lr_schedule = true;
-  int log_every_steps = 0;  // 0 = silent
 };
 
 struct TrainStats {
@@ -36,14 +35,12 @@ struct StepContext {
 };
 
 using PostStepHook = std::function<void(const StepContext&)>;
-using PostEpochHook = std::function<void(int epoch)>;
 
 // Trains `model` on (images [N,...], labels) for config.epochs.
 TrainStats train_classifier(Sequential& model, const Tensor& images,
                             const std::vector<int>& labels,
                             const TrainConfig& config,
-                            const PostStepHook& post_step = {},
-                            const PostEpochHook& post_epoch = {});
+                            const PostStepHook& post_step = {});
 
 // Top-1 accuracy of `model` on (images, labels), evaluated in eval mode.
 // Batches are evaluated in parallel over the global thread pool; results

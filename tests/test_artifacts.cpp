@@ -294,9 +294,9 @@ TEST(StoredStudy, FreshInitBaselineIsServedFromTheStore) {
   const auto pb = loaded.model.parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    ASSERT_EQ(pa[i]->value.numel(), pb[i]->value.numel());
-    EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
-                          pa[i]->value.numel() * sizeof(float)),
+    ASSERT_EQ(pa[i]->value().numel(), pb[i]->value().numel());
+    EXPECT_EQ(std::memcmp(pa[i]->value().data(), pb[i]->value().data(),
+                          pa[i]->value().numel() * sizeof(float)),
               0)
         << "parameter " << i;
   }

@@ -161,8 +161,8 @@ TEST_F(BatchedAttackTest, DeepFoolDegenerateGradientRows) {
   nn::Sequential flat("degenerate");
   flat.emplace<nn::Flatten>();
   auto& lin = flat.emplace<nn::Linear>(per_sample, 10, rng);
-  lin.weight().value.fill(0.0f);
-  lin.bias().value.fill(0.0f);
+  lin.weight().set_value(Tensor(lin.weight().value().shape()));
+  lin.bias().set_value(Tensor(lin.bias().value().shape()));
 
   std::vector<int> labels(static_cast<std::size_t>(n));
   for (std::size_t j = 0; j < labels.size(); ++j) {

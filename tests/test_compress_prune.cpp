@@ -42,14 +42,15 @@ TEST(DnsPruner, PrunesSmallestMagnitudes) {
   nn::Sequential m = tiny_linear_model(3);
   nn::Parameter* w = m.parameters()[0];
   // Plant known magnitudes: indices 0..99 get magnitude i+1.
-  for (Index i = 0; i < 100; ++i) {
-    w->value[i] = (i % 2 ? 1.0f : -1.0f) * static_cast<float>(i + 1);
-  }
-  w->bump_version();
+  w->edit([](Tensor& v, Tensor&) {
+    for (Index i = 0; i < 100; ++i) {
+      v[i] = (i % 2 ? 1.0f : -1.0f) * static_cast<float>(i + 1);
+    }
+  });
   DnsPruner pruner(m, DnsConfig{.target_density = 0.5});
   // the 50 smallest magnitudes (indices 0..49) must be masked
-  for (Index i = 0; i < 50; ++i) EXPECT_EQ(w->mask[i], 0.0f) << i;
-  for (Index i = 50; i < 100; ++i) EXPECT_EQ(w->mask[i], 1.0f) << i;
+  for (Index i = 0; i < 50; ++i) EXPECT_EQ(w->mask()[i], 0.0f) << i;
+  for (Index i = 50; i < 100; ++i) EXPECT_EQ(w->mask()[i], 1.0f) << i;
 }
 
 TEST(DnsPruner, BiasesNeverPruned) {
@@ -63,54 +64,50 @@ TEST(DnsPruner, BiasesNeverPruned) {
 TEST(DnsPruner, RecoveryRestoresGrownWeights) {
   nn::Sequential m = tiny_linear_model(5);
   nn::Parameter* w = m.parameters()[0];
-  for (Index i = 0; i < 100; ++i) {
-    w->value[i] = static_cast<float>(i + 1) * 0.01f;
-  }
+  w->edit([](Tensor& v, Tensor&) {
+    for (Index i = 0; i < 100; ++i) v[i] = static_cast<float>(i + 1) * 0.01f;
+  });
   DnsPruner pruner(m, DnsConfig{.target_density = 0.5, .hysteresis = 0.0});
-  ASSERT_EQ(w->mask[0], 0.0f);
+  ASSERT_EQ(w->mask()[0], 0.0f);
   // weight 0 grows past everything; next update must restore it (DNS)
-  w->value[0] = 100.0f;
-  w->bump_version();
+  w->edit([](Tensor& v, Tensor&) { v[0] = 100.0f; });
   pruner.update_masks();
-  EXPECT_EQ(w->mask[0], 1.0f);
+  EXPECT_EQ(w->mask()[0], 1.0f);
 }
 
 TEST(DnsPruner, OneShotNeverRecovers) {
   nn::Sequential m = tiny_linear_model(6);
   nn::Parameter* w = m.parameters()[0];
-  for (Index i = 0; i < 100; ++i) {
-    w->value[i] = static_cast<float>(i + 1) * 0.01f;
-  }
+  w->edit([](Tensor& v, Tensor&) {
+    for (Index i = 0; i < 100; ++i) v[i] = static_cast<float>(i + 1) * 0.01f;
+  });
   DnsPruner pruner(m, DnsConfig{.target_density = 0.5,
                                 .hysteresis = 0.0,
                                 .allow_recovery = false});
-  ASSERT_EQ(w->mask[0], 0.0f);
-  w->value[0] = 100.0f;
-  w->bump_version();
+  ASSERT_EQ(w->mask()[0], 0.0f);
+  w->edit([](Tensor& v, Tensor&) { v[0] = 100.0f; });
   pruner.update_masks();
-  EXPECT_EQ(w->mask[0], 0.0f);  // Han-style: pruned stays pruned
+  EXPECT_EQ(w->mask()[0], 0.0f);  // Han-style: pruned stays pruned
 }
 
 TEST(DnsPruner, HysteresisKeepsBandStable) {
   nn::Sequential m = tiny_linear_model(7);
   nn::Parameter* w = m.parameters()[0];
-  for (Index i = 0; i < 100; ++i) {
-    w->value[i] = static_cast<float>(i + 1) * 0.01f;
-  }
+  w->edit([](Tensor& v, Tensor&) {
+    for (Index i = 0; i < 100; ++i) v[i] = static_cast<float>(i + 1) * 0.01f;
+  });
   DnsPruner pruner(m, DnsConfig{.target_density = 0.5, .hysteresis = 0.2});
   // A pruned weight just above α but inside the band must stay pruned.
   // α ≈ 0.50; put weight 10 (pruned) at 1.05·α — inside [α, 1.2α].
-  ASSERT_EQ(w->mask[10], 0.0f);
-  w->value[10] = 0.50f * 1.05f;
-  w->bump_version();
+  ASSERT_EQ(w->mask()[10], 0.0f);
+  w->edit([](Tensor& v, Tensor&) { v[10] = 0.50f * 1.05f; });
   pruner.update_masks();
-  EXPECT_EQ(w->mask[10], 0.0f);
+  EXPECT_EQ(w->mask()[10], 0.0f);
   // ...and a kept weight in the band stays kept.
-  ASSERT_EQ(w->mask[90], 1.0f);
-  w->value[90] = 0.50f * 1.05f;
-  w->bump_version();
+  ASSERT_EQ(w->mask()[90], 1.0f);
+  w->edit([](Tensor& v, Tensor&) { v[90] = 0.50f * 1.05f; });
   pruner.update_masks();
-  EXPECT_EQ(w->mask[90], 1.0f);
+  EXPECT_EQ(w->mask()[90], 1.0f);
 }
 
 TEST(DnsPruner, InvalidConfigThrows) {
@@ -133,8 +130,8 @@ TEST(DnsPruner, MaskedWeightsStillReceiveGradient) {
   std::vector<int> labels = {0, 1, 2, 3};
   // pick a masked index
   Index masked = -1;
-  for (Index i = 0; i < w->mask.numel(); ++i) {
-    if (w->mask[i] == 0.0f) {
+  for (Index i = 0; i < w->mask().numel(); ++i) {
+    if (w->mask()[i] == 0.0f) {
       masked = i;
       break;
     }

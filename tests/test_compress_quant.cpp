@@ -193,13 +193,13 @@ TEST(QuantizeModel, InsertsActivationLayersAndTransforms) {
   // every compressible parameter carries the transform
   for (nn::Parameter* p : q.parameters()) {
     if (p->compressible) {
-      EXPECT_NE(p->transform, nullptr) << p->name;
+      EXPECT_NE(p->transform(), nullptr) << p->name;
     } else {
-      EXPECT_EQ(p->transform, nullptr) << p->name;
+      EXPECT_EQ(p->transform(), nullptr) << p->name;
     }
   }
   // the original model is untouched
-  for (nn::Parameter* p : base.parameters()) EXPECT_EQ(p->transform, nullptr);
+  for (nn::Parameter* p : base.parameters()) EXPECT_EQ(p->transform(), nullptr);
 }
 
 TEST(QuantizeModel, WeightOnlyModeAddsNoLayers) {
@@ -207,7 +207,6 @@ TEST(QuantizeModel, WeightOnlyModeAddsNoLayers) {
   const std::size_t n_before = base.num_layers();
   nn::Sequential q = quantize_model(
       base, QuantizeOptions{.format = FixedPointFormat::paper_format(8),
-                            .quantize_weights = true,
                             .quantize_activations = false});
   EXPECT_EQ(q.num_layers(), n_before);
 }
@@ -249,7 +248,7 @@ TEST(StripQuantization, RemovesEverything) {
       base, QuantizeOptions{.format = FixedPointFormat::paper_format(4)});
   nn::Sequential back = strip_quantization(q);
   EXPECT_EQ(back.num_layers(), base.num_layers());
-  for (nn::Parameter* p : back.parameters()) EXPECT_EQ(p->transform, nullptr);
+  for (nn::Parameter* p : back.parameters()) EXPECT_EQ(p->transform(), nullptr);
 }
 
 TEST(QuantAwareTraining, StepImprovesQuantisedLoss) {

@@ -248,16 +248,17 @@ std::string int8_grid_mismatch() {
                                      .padding = gc.pad},
                       rng, "conv");
       util::Rng prune_rng(600 + gc.k);
-      for (float& v : conv.weight().value.flat()) {
-        if (prune_rng.uniform() < pruned) v = 0.0f;
-      }
-      conv.weight().transform =
-          std::make_shared<compress::FixedPointWeightTransform>(fmt);
-      conv.weight().bump_version();
+      conv.weight().edit([&](Tensor& w, Tensor&) {
+        for (float& v : w.flat()) {
+          if (prune_rng.uniform() < pruned) v = 0.0f;
+        }
+      });
+      conv.weight().set_transform(
+          std::make_shared<compress::FixedPointWeightTransform>(fmt));
       const Tensor wq =
-          compress::fixed_point_quantize(conv.weight().value, fmt);
+          compress::fixed_point_quantize(conv.weight().value(), fmt);
       const compress::IntegerConv2d oracle =
-          compress::lower_conv2d(wq, conv.bias().value, fmt, fmt);
+          compress::lower_conv2d(wq, conv.bias().value(), fmt, fmt);
       for (Index batch : {Index(1), Index(3), Index(64)}) {
         // Zero-heavy codes: the pair skip lists elide most of the input.
         const Tensor x = sparse_tensor({batch, gc.c, gc.h, gc.h},
@@ -539,7 +540,7 @@ class ColumnsConv2d : public nn::Layer {
       for (Index c = 0; c < m; ++c) {
         for (Index p = 0; p < plane; ++p) {
           y[(i * m + c) * plane + p] =
-              out[c * total + i * plane + p] + bias_.value[c];
+              out[c * total + i * plane + p] + bias_.value()[c];
         }
       }
     }
@@ -639,8 +640,8 @@ TEST(ConvKernelOracle, SgdStepsMatchColumnsReferenceBitwise) {
     const auto pt = twin.parameters();
     ASSERT_EQ(pn.size(), pt.size());
     for (std::size_t i = 0; i < pn.size(); ++i) {
-      EXPECT_TRUE(same_bits(pn[i]->value.data(), pt[i]->value.data(),
-                            pn[i]->value.numel()))
+      EXPECT_TRUE(same_bits(pn[i]->value().data(), pt[i]->value().data(),
+                            pn[i]->value().numel()))
           << kernels::isa_name(isa) << " parameter " << pn[i]->name;
     }
   }

@@ -72,8 +72,9 @@ TEST(CdfTest, QuantisedWeightsShowClipping) {
   nn::Sequential base = models::make_lenet5_small(21);
   // widen some weights beyond the 4-bit range so clipping has an effect
   nn::Parameter* w = base.parameters()[0];
-  for (tensor::Index i = 0; i < 10; ++i) w->value[i] = 2.0f;
-  w->bump_version();
+  w->edit([](Tensor& v, Tensor&) {
+    for (tensor::Index i = 0; i < 10; ++i) v[i] = 2.0f;
+  });
   nn::Sequential q = compress::quantize_model(
       base, compress::QuantizeOptions{
                 .format = compress::FixedPointFormat::paper_format(4)});
@@ -176,8 +177,8 @@ TEST_F(StudyTest, CheckpointCacheRoundTrips) {
   auto pb = again.baseline().parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (tensor::Index j = 0; j < pa[i]->value.numel(); ++j) {
-      ASSERT_EQ(pa[i]->value[j], pb[i]->value[j]);
+    for (tensor::Index j = 0; j < pa[i]->value().numel(); ++j) {
+      ASSERT_EQ(pa[i]->value()[j], pb[i]->value()[j]);
     }
   }
 }
@@ -281,7 +282,7 @@ TEST_F(StudyTest, FreshBaselinesDifferButBothLearn) {
                                              study_->test_set().labels);
   EXPECT_GT(acc_a, 0.6);
   EXPECT_GT(acc_b, 0.6);
-  EXPECT_NE(a.parameters()[0]->value[0], b.parameters()[0]->value[0]);
+  EXPECT_NE(a.parameters()[0]->value()[0], b.parameters()[0]->value()[0]);
 }
 
 TEST(StudyConfigTest, AttackSizeValidated) {

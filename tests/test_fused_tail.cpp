@@ -163,9 +163,9 @@ nn::Sequential pruned(const nn::Sequential& model) {
   util::Rng rng(17);
   for (nn::Parameter* p : m.parameters()) {
     if (!p->compressible) continue;
-    p->mask = Tensor(p->value.shape());
-    for (float& v : p->mask.flat()) v = rng.uniform_f(0.0f, 1.0f) < 0.08f;
-    p->bump_version();
+    Tensor mask(p->value().shape());
+    for (float& v : mask.flat()) v = rng.uniform_f(0.0f, 1.0f) < 0.08f;
+    p->set_mask(std::move(mask));
   }
   return m;
 }
@@ -248,15 +248,14 @@ std::vector<nn::Sequential> edge_models(
   auto& conv = conv_model.emplace<nn::Conv2d>(
       nn::Conv2dSpec{.in_channels = 1, .out_channels = 2, .kernel = 1}, rng,
       "conv");
-  conv.weight().value = Tensor({2, 1}, std::vector<float>{1.0f, -1.0f});
-  conv.bias().value = Tensor({2}, std::vector<float>{0.0f, 0.0625f});
-  conv.weight().bump_version();
+  conv.weight().set_value(Tensor({2, 1}, std::vector<float>{1.0f, -1.0f}));
+  conv.bias().set_value(Tensor({2}, std::vector<float>{0.0f, 0.0625f}));
   nn::Sequential linear_model("edge-linear");
   auto& lin = linear_model.emplace<nn::Linear>(n, n, rng, "fc");
-  lin.weight().value = Tensor({n, n});
-  for (Index i = 0; i < n; ++i) lin.weight().value[i * n + i] = 1.0f;
-  lin.bias().value = Tensor({n});
-  lin.weight().bump_version();
+  Tensor identity({n, n});
+  for (Index i = 0; i < n; ++i) identity[i * n + i] = 1.0f;
+  lin.weight().set_value(std::move(identity));
+  lin.bias().set_value(Tensor({n}));
   for (const auto& layer : tail_layers) {
     conv_model.add(layer->clone());
     linear_model.add(layer->clone());
@@ -467,15 +466,16 @@ TEST(FusedTail, BackwardWithoutMatchingForwardThrows) {
 Tensor integer_exec_forward(nn::Sequential& model, const Tensor& x) {
   const auto [wfmt, afmt] = compress::integer_formats(model);
   Tensor cur = x;
+  Tensor gate;  // effective()'s gradient gate; unused here
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
     nn::Layer& layer = model.layer(i);
     if (auto* lin = dynamic_cast<nn::Linear*>(&layer)) {
       const compress::IntegerLinear il = compress::lower_linear(
-          lin->weight().effective(), lin->bias().value, wfmt, afmt);
+          lin->weight().effective(gate), lin->bias().value(), wfmt, afmt);
       cur = compress::integer_linear_forward(il, cur);
     } else if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
       const compress::IntegerConv2d ic = compress::lower_conv2d(
-          conv->weight().effective(), conv->bias().value, wfmt, afmt);
+          conv->weight().effective(gate), conv->bias().value(), wfmt, afmt);
       const nn::Conv2dSpec& s = conv->spec();
       const tensor::Conv2dGeometry g{.in_channels = s.in_channels,
                                      .in_h = cur.dim(2),

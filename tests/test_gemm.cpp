@@ -150,8 +150,8 @@ TEST(PackedWeightsCache, LinearSeesPrunerMaskUpdate) {
   // The pruned forward must match a from-scratch computation with the new
   // mask, not the stale dense panels.
   Tensor expected =
-      matmul_nt(x, tensor::mul(fc.weight().value, fc.weight().mask));
-  const float* bd = fc.bias().value.data();
+      matmul_nt(x, tensor::mul(fc.weight().value(), fc.weight().mask()));
+  const float* bd = fc.bias().value().data();
   for (Index i = 0; i < expected.dim(0); ++i) {
     for (Index j = 0; j < expected.dim(1); ++j) {
       expected.at({i, j}) += bd[j];
@@ -178,8 +178,8 @@ TEST(PackedWeightsCache, LinearSeesOptimizerStep) {
   opt.step();  // in-place weight write + version bump
 
   Tensor after = m.forward(x, false);
-  Tensor expected = matmul_nt(x, fc.weight().value);
-  const float* bd = fc.bias().value.data();
+  Tensor expected = matmul_nt(x, fc.weight().value());
+  const float* bd = fc.bias().value().data();
   for (Index i = 0; i < expected.dim(0); ++i) {
     for (Index j = 0; j < expected.dim(1); ++j) {
       expected.at({i, j}) += bd[j];

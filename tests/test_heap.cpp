@@ -95,8 +95,7 @@ nn::Int8FormatKey key_for(const compress::FixedPointFormat& f) {
 }
 
 void quantize_weights(nn::Parameter& w, const compress::FixedPointFormat& f) {
-  w.transform = std::make_shared<compress::FixedPointWeightTransform>(f);
-  w.bump_version();
+  w.set_transform(std::make_shared<compress::FixedPointWeightTransform>(f));
 }
 
 TEST(HeapCeiling, Conv2dForwardAndBackward) {

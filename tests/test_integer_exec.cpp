@@ -86,11 +86,9 @@ nn::Int8FormatKey key_for(const FixedPointFormat& wfmt,
                            .act_integer_bits = afmt.integer_bits};
 }
 
-// Snap a parameter onto `fmt`'s grid the way quantize_model does: attach
-// the transform and bump so the packed caches rebuild.
+// Snap a parameter onto `fmt`'s grid the way quantize_model does.
 void attach_weight_format(nn::Parameter& p, const FixedPointFormat& fmt) {
-  p.transform = std::make_shared<FixedPointWeightTransform>(fmt);
-  p.bump_version();
+  p.set_transform(std::make_shared<FixedPointWeightTransform>(fmt));
 }
 
 // ---- off-grid diagnostics (the lowering refuses to re-round) ---------------
@@ -175,11 +173,12 @@ std::string linear_int8_mismatch() {
       nn::Linear lin(10, out, rng, "fc");
       attach_weight_format(lin.weight(), wfmt);
       // A distinct bias per output column (the default bias is all zero).
-      tensor::fill_normal(lin.bias().value, rng, 0.0f, 0.5f);
-      lin.bias().bump_version();
-      const Tensor wq = fixed_point_quantize(lin.weight().value, wfmt);
+      lin.bias().edit([&](Tensor& b, Tensor&) {
+        tensor::fill_normal(b, rng, 0.0f, 0.5f);
+      });
+      const Tensor wq = fixed_point_quantize(lin.weight().value(), wfmt);
       const IntegerLinear oracle =
-          lower_linear(wq, lin.bias().value, wfmt, afmt);
+          lower_linear(wq, lin.bias().value(), wfmt, afmt);
       const Tensor x = random_batch(Shape{5, 10}, 32);
       const Tensor want = integer_linear_forward(oracle, x);
       for (kernels::Isa isa : simd_isas({kernels::Isa::kScalar})) {
@@ -225,8 +224,8 @@ TEST(Int8Backend, ConvForwardMatchesOracleOnEveryIsa) {
           .in_channels = 3, .out_channels = 5, .kernel = 3, .padding = 1},
       rng, "conv");
   attach_weight_format(conv.weight(), fmt);
-  const Tensor wq = fixed_point_quantize(conv.weight().value, fmt);
-  const IntegerConv2d oracle = lower_conv2d(wq, conv.bias().value, fmt, fmt);
+  const Tensor wq = fixed_point_quantize(conv.weight().value(), fmt);
+  const IntegerConv2d oracle = lower_conv2d(wq, conv.bias().value(), fmt, fmt);
   const tensor::Conv2dGeometry g{.in_channels = 3,
                                  .in_h = 8,
                                  .in_w = 8,
@@ -291,29 +290,27 @@ TEST(Int8PanelCache, WeightUpdateRepacksAndResultsFollow) {
   const nn::Int8FormatKey key = key_for(fmt, fmt);
   (void)lin.forward_int8(x, key);
 
-  // In-place weight edit + bump (the optimizer-step contract): the next
-  // int8 forward must repack and match a fresh oracle lowering.
-  lin.weight().value[3] += 0.5f;
-  lin.weight().bump_version();
+  // In-place weight edit (the optimizer-step path): the next int8 forward
+  // must repack and match a fresh oracle lowering.
+  lin.weight().edit([](Tensor& w, Tensor&) { w[3] += 0.5f; });
   const std::uint64_t before = int8_misses();
   const Tensor got = lin.forward_int8(x, key);
   EXPECT_GT(int8_misses(), before)
       << "a version bump must invalidate the int8 panels";
-  const Tensor wq = fixed_point_quantize(lin.weight().value, fmt);
-  const IntegerLinear oracle = lower_linear(wq, lin.bias().value, fmt, fmt);
+  const Tensor wq = fixed_point_quantize(lin.weight().value(), fmt);
+  const IntegerLinear oracle = lower_linear(wq, lin.bias().value(), fmt, fmt);
   expect_bits_equal(integer_linear_forward(oracle, x), got,
                     "post-update forward");
 
   // The bias participates in the fingerprint too (its codes are baked into
   // the panels at accumulator scale).
-  lin.bias().value[0] += 0.25f;
-  lin.bias().bump_version();
+  lin.bias().edit([](Tensor& b, Tensor&) { b[0] += 0.25f; });
   const std::uint64_t before_bias = int8_misses();
   const Tensor got_bias = lin.forward_int8(x, key);
   EXPECT_GT(int8_misses(), before_bias)
       << "a bias bump must invalidate the int8 panels";
   const IntegerLinear oracle_bias =
-      lower_linear(wq, lin.bias().value, fmt, fmt);
+      lower_linear(wq, lin.bias().value(), fmt, fmt);
   expect_bits_equal(integer_linear_forward(oracle_bias, x), got_bias,
                     "post-bias-update forward");
 }
@@ -328,7 +325,7 @@ TEST(Int8PanelCache, FormatKeyIsPartOfTheFingerprint) {
   nn::Linear lin(6, 3, rng, "fc");
   attach_weight_format(lin.weight(), f4);
   const Tensor x = random_batch(Shape{2, 6}, 56);
-  const Tensor wq = fixed_point_quantize(lin.weight().value, f4);
+  const Tensor wq = fixed_point_quantize(lin.weight().value(), f4);
 
   const Tensor y4 = lin.forward_int8(x, key_for(f4, f4));
   const std::uint64_t before = int8_misses();
@@ -336,10 +333,10 @@ TEST(Int8PanelCache, FormatKeyIsPartOfTheFingerprint) {
   EXPECT_GT(int8_misses(), before)
       << "a different activation format must rebuild the panels";
   expect_bits_equal(
-      integer_linear_forward(lower_linear(wq, lin.bias().value, f4, f4), x),
+      integer_linear_forward(lower_linear(wq, lin.bias().value(), f4, f4), x),
       y4, "4-bit activations");
   expect_bits_equal(
-      integer_linear_forward(lower_linear(wq, lin.bias().value, f4, f8), x),
+      integer_linear_forward(lower_linear(wq, lin.bias().value(), f4, f8), x),
       y8, "8-bit activations");
 }
 
@@ -352,8 +349,8 @@ TEST(Int8PanelCache, MismatchedKeyThrowsInsteadOfReRounding) {
   nn::Linear lin(6, 3, rng, "fc");
   attach_weight_format(lin.weight(), f8);
   // Guarantee at least one weight off the coarser grid.
-  lin.weight().value[0] = 0.015625f;  // 2⁻⁶: on the 8-bit grid only
-  lin.weight().bump_version();
+  // 2⁻⁶: on the 8-bit grid only.
+  lin.weight().edit([](Tensor& w, Tensor&) { w[0] = 0.015625f; });
   const Tensor x = random_batch(Shape{2, 6}, 58);
   try {
     (void)lin.forward_int8(x, key_for(f4, f4));
@@ -387,16 +384,16 @@ TEST(Int8PanelCache, NonFiniteOrOversizedBiasThrows) {
     util::Rng rng(59);
     nn::Linear lin(6, 3, rng, "fc");
     attach_weight_format(lin.weight(), f8);
-    lin.bias().value[1] = bad;
-    lin.bias().bump_version();
+    lin.bias().edit([&](Tensor& b, Tensor&) { b[1] = bad; });
     expect_refused(lin, "bias[1]", "not finite or overflows");
   }
   {
     util::Rng rng(61);
     nn::Linear lin(6, 3, rng, "fc");
     attach_weight_format(lin.weight(), f8);
-    lin.weight().value[4] = std::numeric_limits<float>::quiet_NaN();
-    lin.weight().bump_version();
+    lin.weight().edit([](Tensor& w, Tensor&) {
+      w[4] = std::numeric_limits<float>::quiet_NaN();
+    });
     expect_refused(lin, "weight[4]", "not finite or overflows");
   }
   {
@@ -405,8 +402,7 @@ TEST(Int8PanelCache, NonFiniteOrOversizedBiasThrows) {
     util::Rng rng(62);
     nn::Linear lin(6, 3, rng, "fc");
     attach_weight_format(lin.weight(), f8);
-    lin.bias().value[2] = 1e6f;
-    lin.bias().bump_version();
+    lin.bias().edit([](Tensor& b, Tensor&) { b[2] = 1e6f; });
     expect_refused(lin, "depth 6", "int32 accumulator headroom");
   }
 }
@@ -417,7 +413,6 @@ nn::Sequential quantized_lenet(int bits, bool activations = true) {
   nn::Sequential base = models::make_lenet5_small(7);
   return quantize_model(
       base, QuantizeOptions{.format = FixedPointFormat::paper_format(bits),
-                            .quantize_weights = true,
                             .quantize_activations = activations});
 }
 
@@ -553,8 +548,7 @@ nn::Sequential grid_breaking_model() {
   base.emplace<nn::ReLU>("relu1");
   const FixedPointFormat fmt = FixedPointFormat::paper_format(8);
   nn::Sequential q = quantize_model(
-      base, QuantizeOptions{.format = fmt, .quantize_weights = true,
-                            .quantize_activations = true});
+      base, QuantizeOptions{.format = fmt, .quantize_activations = true});
   q.add(std::make_unique<OffGridScale>());
   q.add(std::make_unique<QuantActivation>(fmt, "quant_breaker"));
   q.add(std::make_unique<nn::Flatten>("flatten"));
@@ -566,7 +560,6 @@ TEST(IntegerModel, SkippedRequantisationsAreExactIdentities) {
   nn::Sequential cifar = quantize_model(
       models::make_cifarnet_small(7),
       QuantizeOptions{.format = FixedPointFormat::paper_format(8),
-                      .quantize_weights = true,
                       .quantize_activations = true});
   std::size_t quant_layers = 0;
   for (std::size_t i = 0; i < cifar.num_layers(); ++i) {

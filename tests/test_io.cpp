@@ -43,8 +43,8 @@ TEST_F(IoTest, ModelRoundTripPreservesWeights) {
   auto pb = b.parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (tensor::Index j = 0; j < pa[i]->value.numel(); ++j) {
-      ASSERT_EQ(pa[i]->value[j], pb[i]->value[j]);
+    for (tensor::Index j = 0; j < pa[i]->value().numel(); ++j) {
+      ASSERT_EQ(pa[i]->value()[j], pb[i]->value()[j]);
     }
   }
 }
@@ -61,8 +61,8 @@ TEST_F(IoTest, MasksSurviveRoundTrip) {
   for (std::size_t i = 0; i < pa.size(); ++i) {
     ASSERT_EQ(pa[i]->has_mask(), pb[i]->has_mask());
     if (pa[i]->has_mask()) {
-      for (tensor::Index j = 0; j < pa[i]->mask.numel(); ++j) {
-        ASSERT_EQ(pa[i]->mask[j], pb[i]->mask[j]);
+      for (tensor::Index j = 0; j < pa[i]->mask().numel(); ++j) {
+        ASSERT_EQ(pa[i]->mask()[j], pb[i]->mask()[j]);
       }
     }
   }
@@ -111,7 +111,7 @@ std::string payload_with_record(nn::Sequential& model,
   const auto params = model.parameters();
   append_pod(out, static_cast<std::uint64_t>(params.size()));
   for (std::size_t i = 0; i < params.size(); ++i) {
-    const Tensor& v = params[i]->value;
+    const Tensor& v = params[i]->value();
     append_string(out, params[i]->name);
     append_pod(out, static_cast<std::uint32_t>(v.rank()));
     for (tensor::Index d : v.shape().dims()) {
@@ -170,7 +170,7 @@ TEST_F(IoTest, FixedPointRecordIsValidated) {
                          compress::FixedPointFormat::paper_format(8));
   load_model_into(m, path_);
   const auto* fp = dynamic_cast<const compress::FixedPointWeightTransform*>(
-      m.parameters()[0]->transform.get());
+      m.parameters()[0]->transform().get());
   ASSERT_NE(fp, nullptr);
   EXPECT_EQ(fp->format().total_bits, 8);
   for (compress::FixedPointFormat bad :
@@ -272,7 +272,6 @@ TEST(CheckpointV2, FixedPointTransformSurvivesRoundTrip) {
       models::make_lenet5_small(11),
       compress::QuantizeOptions{
           .format = compress::FixedPointFormat::paper_format(8),
-          .quantize_weights = true,
           .quantize_activations = false});
   const std::string path = "/tmp/con_ckptv2_fp.bin";
   save_model(a, path);
@@ -285,7 +284,7 @@ TEST(CheckpointV2, FixedPointTransformSurvivesRoundTrip) {
   for (tensor::Index i = 0; i < ya.numel(); ++i) ASSERT_EQ(ya[i], yb[i]);
   for (nn::Parameter* p : b.parameters()) {
     if (p->compressible) {
-      EXPECT_NE(p->transform, nullptr);
+      EXPECT_NE(p->transform(), nullptr);
     }
   }
   std::filesystem::remove(path);
@@ -299,11 +298,10 @@ TEST(CheckpointV2, PlainModelHasNoTransformAfterLoad) {
       models::make_lenet5_small(18),
       compress::QuantizeOptions{
           .format = compress::FixedPointFormat::paper_format(4),
-          .quantize_weights = true,
           .quantize_activations = false});
   // loading a plain checkpoint must CLEAR the stale transform
   load_model_into(b, path);
-  for (nn::Parameter* p : b.parameters()) EXPECT_EQ(p->transform, nullptr);
+  for (nn::Parameter* p : b.parameters()) EXPECT_EQ(p->transform(), nullptr);
   std::filesystem::remove(path);
 }
 

@@ -956,11 +956,11 @@ TEST(Int8KernelOracle, MatmulBumpsThePerIsaDispatchCounter) {
   // under an 8-bit key without a weight transform.
   con::util::Rng rng(9404);
   con::nn::Linear lin(8, 16, rng, "fc");
-  for (Index i = 0; i < lin.weight().value.numel(); ++i) {
-    lin.weight().value[i] =
-        static_cast<float>(b_codes[static_cast<std::size_t>(i)]) / 64.0f;
-  }
-  lin.weight().bump_version();
+  lin.weight().edit([&](Tensor& w, Tensor&) {
+    for (Index i = 0; i < w.numel(); ++i) {
+      w[i] = static_cast<float>(b_codes[static_cast<std::size_t>(i)]) / 64.0f;
+    }
+  });
   const con::nn::Int8FormatKey key{.weight_total_bits = 8,
                                    .weight_integer_bits = 2,
                                    .act_total_bits = 8,

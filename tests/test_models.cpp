@@ -72,9 +72,9 @@ TEST(ModelZoo, InputSpecs) {
 TEST(ModelZoo, SeedsChangeInitialisation) {
   nn::Sequential a = make_lenet5_small(1);
   nn::Sequential b = make_lenet5_small(2);
-  EXPECT_NE(a.parameters()[0]->value[0], b.parameters()[0]->value[0]);
+  EXPECT_NE(a.parameters()[0]->value()[0], b.parameters()[0]->value()[0]);
   nn::Sequential a2 = make_lenet5_small(1);
-  EXPECT_EQ(a.parameters()[0]->value[0], a2.parameters()[0]->value[0]);
+  EXPECT_EQ(a.parameters()[0]->value()[0], a2.parameters()[0]->value()[0]);
 }
 
 TEST(ModelZoo, ParameterNamesAreUnique) {

@@ -19,15 +19,14 @@ TEST(SgdTest, MomentumAcceleratesConstantGradient) {
   Sequential m("m");
   auto& fc = m.emplace<Linear>(2, 2, rng, "fc");
   Parameter& w = fc.weight();
-  w.value.fill(0.0f);
-  w.bump_version();
+  w.set_value(Tensor(w.value().shape()));
   Sgd sgd({&w}, SgdConfig{.learning_rate = 1.0f, .momentum = 0.5f});
   w.grad.fill(1.0f);
   sgd.step();
-  const float after_one = w.value[0];  // -1
+  const float after_one = w.value()[0];  // -1
   w.grad.fill(1.0f);
   sgd.step();
-  const float delta_two = w.value[0] - after_one;  // -(1 + 0.5)
+  const float delta_two = w.value()[0] - after_one;  // -(1 + 0.5)
   EXPECT_FLOAT_EQ(after_one, -1.0f);
   EXPECT_FLOAT_EQ(delta_two, -1.5f);
 }
@@ -37,16 +36,16 @@ TEST(SgdTest, RespectsGradGate) {
   Sequential m("m");
   auto& fc = m.emplace<Linear>(4, 2, rng, "fc");
   Parameter& w = fc.weight();
-  const Tensor before = w.value;
+  const Tensor before = w.value();
   // gate out index 0, let everything else flow
   w.grad.fill(1.0f);
-  w.grad_gate = Tensor(w.value.shape(), 1.0f);
+  w.grad_gate = Tensor(w.value().shape(), 1.0f);
   w.grad_gate[0] = 0.0f;
   Sgd sgd({&w}, SgdConfig{.learning_rate = 0.1f, .momentum = 0.0f});
   sgd.step();
-  EXPECT_EQ(w.value[0], before[0]);
-  for (Index i = 1; i < w.value.numel(); ++i) {
-    EXPECT_FLOAT_EQ(w.value[i], before[i] - 0.1f) << "index " << i;
+  EXPECT_EQ(w.value()[0], before[0]);
+  for (Index i = 1; i < w.value().numel(); ++i) {
+    EXPECT_FLOAT_EQ(w.value()[i], before[i] - 0.1f) << "index " << i;
   }
   // A gate that does not cover the parameter is a caller bug, not a
   // partial mask.

@@ -26,8 +26,8 @@ using tensor::Tensor;
 TEST(Linear, ForwardMatchesHandComputation) {
   util::Rng rng(1);
   Linear layer(2, 2, rng, "fc");
-  layer.weight().value = Tensor({2, 2}, std::vector<float>{1, 2, 3, 4});
-  layer.bias().value = Tensor({2}, std::vector<float>{0.5f, -0.5f});
+  layer.weight().set_value(Tensor({2, 2}, std::vector<float>{1, 2, 3, 4}));
+  layer.bias().set_value(Tensor({2}, std::vector<float>{0.5f, -0.5f}));
   Tensor x({1, 2}, std::vector<float>{1, 1});
   TapeSlot slot;
   Tensor y = layer.forward(x, false, slot);
@@ -58,8 +58,8 @@ TEST(Conv2d, KnownAveragingKernel) {
   util::Rng rng(2);
   Conv2d conv(Conv2dSpec{.in_channels = 1, .out_channels = 1, .kernel = 2},
               rng);
-  conv.weight().value.fill(0.25f);
-  conv.bias().value.fill(0.0f);
+  conv.weight().set_value(Tensor(conv.weight().value().shape(), 0.25f));
+  conv.bias().set_value(Tensor(conv.bias().value().shape()));
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
   TapeSlot slot;
   Tensor y = conv.forward(x, false, slot);
@@ -229,22 +229,17 @@ class GradientCheck : public ::testing::Test {
                             const std::vector<int>& labels,
                             double tolerance = 2e-2) {
     auto f = [&](const Tensor& w) {
-      Tensor saved = p.value;
-      // Same-shape copy-assignment reuses the tensor's allocation, so the
-      // packed-weight cache can only notice the change via the version
-      // counter (see Parameter::bump_version).
-      p.value = w;
-      p.bump_version();
+      const Tensor saved = p.value();
+      p.set_value(w);
       const double loss = model_loss(model, x, labels);
-      p.value = saved;
-      p.bump_version();
+      p.set_value(saved);
       return loss;
     };
     model.zero_grad();
     Tensor logits = model.forward(x, false);
     LossResult loss = softmax_cross_entropy(logits, labels);
     model.backward(loss.grad_logits);
-    Tensor numeric = numerical_gradient(f, p.value);
+    Tensor numeric = numerical_gradient(f, p.value());
     EXPECT_LT(max_gradient_error(p.grad, numeric), tolerance);
   }
 };
@@ -322,9 +317,10 @@ TEST_F(GradientCheck, MaskedLinearGradientFlowsThroughMask) {
   util::Rng rng(33);
   Sequential m("m");
   auto& fc = m.emplace<Linear>(4, 3, rng, "fc");
-  fc.weight().mask = Tensor(fc.weight().value.shape(), 1.0f);
-  fc.weight().mask[0] = 0.0f;  // prune one weight
-  fc.weight().mask[5] = 0.0f;
+  Tensor mask(fc.weight().value().shape(), 1.0f);
+  mask[0] = 0.0f;  // prune one weight
+  mask[5] = 0.0f;
+  fc.weight().set_mask(std::move(mask));
   Tensor x = random_batch(Shape{2, 4}, 34);
   std::vector<int> labels = {0, 2};
   check_input_gradient(m, x, labels);
@@ -336,8 +332,8 @@ TEST(SequentialTest, CloneIsDeepCopy) {
   m.emplace<Linear>(3, 2, rng, "fc");
   Sequential c = m.clone();
   // mutate the clone; original must not change
-  c.parameters()[0]->value.fill(0.0f);
-  EXPECT_NE(m.parameters()[0]->value[0], 0.0f);
+  c.parameters()[0]->edit([](Tensor& w, Tensor&) { w.fill(0.0f); });
+  EXPECT_NE(m.parameters()[0]->value()[0], 0.0f);
   EXPECT_EQ(c.num_layers(), m.num_layers());
 }
 
@@ -357,8 +353,9 @@ TEST(SequentialTest, DensityReflectsMasks) {
   Sequential m("m");
   auto& fc = m.emplace<Linear>(10, 10, rng, "fc");
   EXPECT_DOUBLE_EQ(m.density(), 1.0);
-  fc.weight().mask = Tensor(fc.weight().value.shape(), 1.0f);
-  for (Index i = 0; i < 50; ++i) fc.weight().mask[i] = 0.0f;
+  Tensor mask(fc.weight().value().shape(), 1.0f);
+  for (Index i = 0; i < 50; ++i) mask[i] = 0.0f;
+  fc.weight().set_mask(std::move(mask));
   EXPECT_DOUBLE_EQ(m.density(), 0.5);
 }
 

@@ -1,17 +1,20 @@
 // Regression tests for the Parameter-version / packed-weights contract:
-// every in-place compression transform (pruner mask refresh, transform
-// attach/strip, checkpoint load, optimizer step) must bump the parameter
-// version so the GEMM layers repack their weight panels instead of serving
-// stale ones. Each test drives a real forward (which packs), applies the
-// transform, drives another forward, and asserts both that the repack
-// counter advanced and that the outputs actually reflect the new weights.
+// every compression transform (pruner mask refresh, transform attach/strip,
+// checkpoint load, optimizer step) writes through a Parameter mutator that
+// bumps the version, so the GEMM layers repack their weight panels instead
+// of serving stale ones. Each test drives a real forward (which packs),
+// applies the transform, drives another forward, and asserts both that the
+// repack counter advanced and that the outputs actually reflect the new
+// weights.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/fixed_point.h"
@@ -19,9 +22,11 @@
 #include "compress/quant_activation.h"
 #include "io/checkpoint.h"
 #include "models/model_zoo.h"
+#include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace con {
 namespace {
@@ -66,8 +71,8 @@ TEST(PackedCacheInvalidation, PrunerAttachAndUpdateMasksRepack) {
   Index masked = -1;
   for (nn::Parameter* p : m.parameters()) {
     if (!p->has_mask()) continue;
-    for (Index i = 0; i < p->mask.numel(); ++i) {
-      if (p->mask[i] == 0.0f) {
+    for (Index i = 0; i < p->mask().numel(); ++i) {
+      if (p->mask()[i] == 0.0f) {
         w = p;
         masked = i;
         break;
@@ -76,10 +81,9 @@ TEST(PackedCacheInvalidation, PrunerAttachAndUpdateMasksRepack) {
     if (w != nullptr) break;
   }
   ASSERT_NE(w, nullptr);
-  w->value[masked] = 1e3f;
-  w->bump_version();
+  w->edit([&](Tensor& v, Tensor&) { v[masked] = 1e3f; });
   pruner.update_masks();
-  ASSERT_EQ(w->mask[masked], 1.0f);
+  ASSERT_EQ(w->mask()[masked], 1.0f);
 
   const std::uint64_t before_update = repacks();
   const Tensor y2 = m.forward(x, false);
@@ -93,14 +97,12 @@ TEST(PackedCacheInvalidation, TransformAttachInPlaceRepacks) {
   Tensor x = random_batch(Shape{2, 1, 28, 28}, 8);
   const Tensor y0 = m.forward(x, false);
 
-  // Attach a coarse fixed-point weight transform in place, following the
-  // bump contract.
+  // Attach a coarse fixed-point weight transform in place.
   const auto fmt = compress::FixedPointFormat::paper_format(3);
   for (nn::Parameter* p : m.parameters()) {
     if (!p->compressible) continue;
-    p->transform =
-        std::make_shared<compress::FixedPointWeightTransform>(fmt);
-    p->bump_version();
+    p->set_transform(
+        std::make_shared<compress::FixedPointWeightTransform>(fmt));
   }
   const std::uint64_t before = repacks();
   const Tensor y1 = m.forward(x, false);
@@ -112,9 +114,7 @@ TEST(PackedCacheInvalidation, TransformAttachInPlaceRepacks) {
   // must be rebuilt from the raw weights and the output must return to the
   // float baseline.
   for (nn::Parameter* p : m.parameters()) {
-    if (!p->transform) continue;
-    p->transform.reset();
-    p->bump_version();
+    if (p->transform()) p->set_transform(nullptr);
   }
   const std::uint64_t before_strip = repacks();
   const Tensor y2 = m.forward(x, false);
@@ -177,39 +177,40 @@ TEST(PackedCacheInvalidation, CheckpointRoundTripsFullParameterState) {
     if (p->compressible) compressible.push_back(p);
   }
   ASSERT_GE(compressible.size(), 2u);
-  compressible[0]->transform =
+  compressible[0]->set_transform(
       std::make_shared<compress::FixedPointWeightTransform>(
-          compress::FixedPointFormat::paper_format(8));
-  compressible[0]->bump_version();
-  compressible[1]->transform =
+          compress::FixedPointFormat::paper_format(8)));
+  compressible[1]->set_transform(
       std::make_shared<compress::FixedPointWeightTransform>(
-          compress::FixedPointFormat::paper_format(4));
-  compressible[1]->bump_version();
+          compress::FixedPointFormat::paper_format(4)));
   io::save_model(donor, path);
 
   nn::Sequential m = small_model(19);
   std::vector<std::uint64_t> versions_before;
-  for (nn::Parameter* p : m.parameters()) versions_before.push_back(p->version);
+  for (nn::Parameter* p : m.parameters()) {
+    versions_before.push_back(p->version());
+  }
   io::load_model_into(m, path);
 
   auto dp = donor.parameters();
   auto mp = m.parameters();
   ASSERT_EQ(dp.size(), mp.size());
   for (std::size_t i = 0; i < dp.size(); ++i) {
-    EXPECT_GT(mp[i]->version, versions_before[i])
+    EXPECT_GT(mp[i]->version(), versions_before[i])
         << "load must bump every parameter version";
-    for (Index j = 0; j < dp[i]->value.numel(); ++j) {
-      ASSERT_EQ(dp[i]->value[j], mp[i]->value[j]);
+    for (Index j = 0; j < dp[i]->value().numel(); ++j) {
+      ASSERT_EQ(dp[i]->value()[j], mp[i]->value()[j]);
     }
     ASSERT_EQ(dp[i]->has_mask(), mp[i]->has_mask());
     if (dp[i]->has_mask()) {
-      for (Index j = 0; j < dp[i]->mask.numel(); ++j) {
-        ASSERT_EQ(dp[i]->mask[j], mp[i]->mask[j]);
+      for (Index j = 0; j < dp[i]->mask().numel(); ++j) {
+        ASSERT_EQ(dp[i]->mask()[j], mp[i]->mask()[j]);
       }
     }
-    ASSERT_EQ(dp[i]->transform != nullptr, mp[i]->transform != nullptr);
-    if (dp[i]->transform != nullptr) {
-      EXPECT_EQ(dp[i]->transform->describe(), mp[i]->transform->describe());
+    ASSERT_EQ(dp[i]->transform() != nullptr, mp[i]->transform() != nullptr);
+    if (dp[i]->transform() != nullptr) {
+      EXPECT_EQ(dp[i]->transform()->describe(),
+                mp[i]->transform()->describe());
     }
   }
   // The effective forwards (masks + transforms applied through the packed
@@ -264,6 +265,52 @@ TEST(PackedCacheInvalidation, OptimizerStepRepacks) {
   EXPECT_TRUE(outputs_differ(y0, y1));
 }
 
+// Every Parameter mutator, applied once to one layer's weight, costs
+// exactly one repack: the next forward rebuilds that layer's panels (and
+// computes with the new weights), the one after reuses them.
+TEST(PackedCacheInvalidation, EachMutatorRepacksExactlyOnce) {
+  const auto fmt = compress::FixedPointFormat::paper_format(3);
+  const std::vector<
+      std::pair<const char*, std::function<void(nn::Parameter&)>>>
+      mutators = {
+          {"set_value",
+           [](nn::Parameter& w) {
+             w.set_value(Tensor(w.value().shape(), 0.5f));
+           }},
+          {"set_mask",
+           [](nn::Parameter& w) {
+             Tensor mask(w.value().shape(), 1.0f);
+             mask[0] = 0.0f;
+             w.set_mask(std::move(mask));
+           }},
+          {"set_transform",
+           [&](nn::Parameter& w) {
+             w.set_transform(
+                 std::make_shared<compress::FixedPointWeightTransform>(fmt));
+           }},
+          {"edit",
+           [](nn::Parameter& w) {
+             w.edit([](Tensor& v, Tensor&) { v[0] += 1.0f; });
+           }},
+      };
+  Tensor x = random_batch(Shape{2, 6}, 14);
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    util::Rng rng(22);
+    nn::Sequential m("m");
+    auto& fc = m.emplace<nn::Linear>(6, 4, rng, "fc");
+    const Tensor y0 = m.forward(x, false);  // cold pack
+
+    const std::uint64_t before = repacks();
+    mutate(fc.weight());
+    const Tensor y1 = m.forward(x, false);
+    EXPECT_EQ(repacks(), before + 1);
+    EXPECT_TRUE(outputs_differ(y0, y1));
+    (void)m.forward(x, false);
+    EXPECT_EQ(repacks(), before + 1);
+  }
+}
+
 TEST(PackedCacheInvalidation, UnchangedParameterDoesNotRepack) {
   nn::Sequential m = small_model(17);
   Tensor x = random_batch(Shape{2, 1, 28, 28}, 12);
@@ -271,6 +318,15 @@ TEST(PackedCacheInvalidation, UnchangedParameterDoesNotRepack) {
 
   const std::uint64_t before = repacks();
   (void)m.forward(x, false);
+  // Reading a parameter through any accessor is not a write.
+  Tensor gate;
+  for (const nn::Parameter* p : m.parameters()) {
+    (void)p->value();
+    (void)p->mask();
+    (void)p->transform();
+    (void)p->version();
+    (void)p->effective(gate);
+  }
   (void)m.forward(x, false);
   EXPECT_EQ(repacks(), before)
       << "repeated forwards against frozen weights must reuse the panels";

@@ -104,13 +104,13 @@ TEST_P(AttackInvariants, DoesNotMutateModelWeights) {
   data::Dataset sub = split_->test.take(6);
   std::vector<float> before;
   for (nn::Parameter* p : model_->parameters()) {
-    before.insert(before.end(), p->value.flat().begin(),
-                  p->value.flat().end());
+    before.insert(before.end(), p->value().flat().begin(),
+                  p->value().flat().end());
   }
   attack(sub);
   std::size_t i = 0;
   for (nn::Parameter* p : model_->parameters()) {
-    for (float v : p->value.flat()) ASSERT_EQ(v, before[i++]);
+    for (float v : p->value().flat()) ASSERT_EQ(v, before[i++]);
   }
 }
 
@@ -143,15 +143,15 @@ TEST_P(PruningInvariants, MaskUpdateIsIdempotent) {
   std::vector<float> masks_before;
   for (nn::Parameter* p : m.parameters()) {
     if (p->has_mask()) {
-      masks_before.insert(masks_before.end(), p->mask.flat().begin(),
-                          p->mask.flat().end());
+      masks_before.insert(masks_before.end(), p->mask().flat().begin(),
+                          p->mask().flat().end());
     }
   }
   pruner.update_masks();  // no weight change in between
   std::size_t i = 0;
   for (nn::Parameter* p : m.parameters()) {
     if (!p->has_mask()) continue;
-    for (float v : p->mask.flat()) ASSERT_EQ(v, masks_before[i++]);
+    for (float v : p->mask().flat()) ASSERT_EQ(v, masks_before[i++]);
   }
 }
 
@@ -161,9 +161,10 @@ TEST_P(PruningInvariants, EffectiveWeightsAreMaskedWeights) {
       m, compress::DnsConfig{.target_density = GetParam()});
   for (nn::Parameter* p : m.parameters()) {
     if (!p->has_mask()) continue;
-    Tensor eff = p->effective();
+    Tensor gate;
+    Tensor eff = p->effective(gate);
     for (Index i = 0; i < eff.numel(); ++i) {
-      ASSERT_EQ(eff[i], p->value[i] * p->mask[i]);
+      ASSERT_EQ(eff[i], p->value()[i] * p->mask()[i]);
     }
   }
 }
@@ -178,10 +179,9 @@ TEST_P(PruningInvariants, ForwardUsesMaskedWeightsOnly) {
   // find a masked weight and blow it up
   for (nn::Parameter* p : m.parameters()) {
     if (!p->has_mask()) continue;
-    for (Index i = 0; i < p->mask.numel(); ++i) {
-      if (p->mask[i] == 0.0f) {
-        p->value[i] = 1e6f;
-        p->bump_version();
+    for (Index i = 0; i < p->mask().numel(); ++i) {
+      if (p->mask()[i] == 0.0f) {
+        p->edit([&](Tensor& v, Tensor&) { v[i] = 1e6f; });
         break;
       }
     }

@@ -42,17 +42,6 @@ CallGraph::CallGraph(const ProjectIndex& index) : index_(index) {
 
   resolve_mutexes(index);
 
-  // Caller map (member calls included: an over-approximated caller set only
-  // makes the bump excuse *harder* to earn, never unsound).
-  for (std::size_t f = 0; f < fns.size(); ++f) {
-    for (const CallSite& c : fns[f].calls) {
-      for (std::size_t target : resolve(fns[f], c)) {
-        auto& list = callers_[target];
-        if (list.empty() || list.back() != f) list.push_back(f);
-      }
-    }
-  }
-
   build_lock_graph();
   find_cycles();
 }
@@ -67,8 +56,8 @@ std::vector<std::size_t> CallGraph::resolve(const FunctionDef& caller,
     // Type the receiver chain when it resolves cleanly. Three outcomes:
     // a known class (restrict candidates to it and its derived classes — a
     // by-name match on an unrelated class must not accuse this call), a
-    // known member of UNKNOWN type (`w.transform.get()` where transform is
-    // a shared_ptr: the target is not in this tree, resolve to nothing),
+    // known member of UNKNOWN type (`im.ptr.get()` where ptr is a
+    // shared_ptr: the target is not in this tree, resolve to nothing),
     // or untypable (stay with the coarse all-methods-of-that-name set).
     std::string type;      // known receiver class, "" while untyped
     bool dead_end = false; // typed into a class this tree does not define
@@ -217,48 +206,6 @@ CallGraph::TaintResult CallGraph::taint_chain(const FunctionDef& caller,
     return out;
   }
   return out;
-}
-
-// ---- interprocedural param-version -----------------------------------------
-
-namespace {
-
-bool excused_walk(const std::map<std::size_t, std::vector<std::size_t>>& callers,
-                  const std::vector<FunctionDef>& fns, std::size_t fn,
-                  std::set<std::size_t>& visiting) {
-  auto it = callers.find(fn);
-  if (it == callers.end() || it->second.empty()) return false;
-  for (std::size_t c : it->second) {
-    if (fns[c].bumps) continue;
-    if (!visiting.insert(c).second) return false;  // cycle: conservative no
-    const bool ok = excused_walk(callers, fns, c, visiting);
-    visiting.erase(c);
-    if (!ok) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool CallGraph::bump_excused(std::size_t fn) const {
-  std::set<std::size_t> visiting{fn};
-  return excused_walk(callers_, index_.functions(), fn, visiting);
-}
-
-std::string CallGraph::bump_excuse_failure(std::size_t fn) const {
-  auto it = callers_.find(fn);
-  if (it == callers_.end() || it->second.empty()) {
-    return "it has no indexed caller pairing the call with bump_version()";
-  }
-  for (std::size_t c : it->second) {
-    const FunctionDef& def = index_.functions()[c];
-    if (def.bumps) continue;
-    std::set<std::size_t> visiting{fn, c};
-    if (!excused_walk(callers_, index_.functions(), c, visiting)) {
-      return "caller " + site_ref(def) + " reaches it without bump_version()";
-    }
-  }
-  return "a caller cycle prevents the bump pairing from being established";
 }
 
 // ---- lock-order -------------------------------------------------------------

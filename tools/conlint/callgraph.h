@@ -5,8 +5,8 @@
 // own class / its bases for unqualified calls); `.`/`->` member calls
 // resolve to every indexed method of that name, narrowed to the receiver's
 // class when its type is known. Every rule walks member calls too: for
-// lock-order, transitive-determinism and the param-version caller set,
-// missing an edge is worse than walking a few extra candidates.
+// lock-order and transitive-determinism, missing an edge is worse than
+// walking a few extra candidates.
 #pragma once
 
 #include <cstddef>
@@ -39,16 +39,6 @@ class CallGraph {
   // rendered as "f (file:line) -> g (file:line) -> <what> at file:line".
   TaintResult taint_chain(const FunctionDef& caller,
                           const CallSite& call) const;
-
-  // --- interprocedural param-version ----------------------------------------
-
-  // True when every indexed caller of `fn` (transitively) pairs the call
-  // with bump_version(): the mutation in the helper is versioned by its
-  // callers.
-  bool bump_excused(std::size_t fn) const;
-  // Why bump_excused() said no: "no indexed callers" or the first caller
-  // chain that never bumps.
-  std::string bump_excuse_failure(std::size_t fn) const;
 
   // --- lock-order -------------------------------------------------------------
 
@@ -87,7 +77,6 @@ class CallGraph {
 
   const ProjectIndex& index_;
   std::vector<std::vector<std::string>> lock_ids_;  // parallel to locks
-  std::map<std::size_t, std::vector<std::size_t>> callers_;
   mutable std::vector<Reach> taint_memo_;
   // Transitively acquired mutexes per function: id -> (file, line, chain).
   struct Acquire {

@@ -95,99 +95,6 @@ TEST(ConlintLexer, DigitSeparatorsStayOneNumberToken) {
   EXPECT_TRUE(found_hex);
 }
 
-// ---- param-version ----------------------------------------------------------
-
-TEST(ParamVersion, FlagsAssignmentWithoutBump) {
-  auto fl = run("src/compress/x.cpp",
-                "void strip(nn::Parameter& p) {\n"
-                "  p.transform.reset();\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 1);
-  EXPECT_EQ(fl.diagnostics[0].line, 2);
-}
-
-TEST(ParamVersion, AcceptsAssignmentWithBumpInSameBody) {
-  auto fl = run("src/compress/x.cpp",
-                "void strip(nn::Parameter& p) {\n"
-                "  p.transform.reset();\n"
-                "  p.bump_version();\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 0);
-}
-
-TEST(ParamVersion, FlagsMaskAssignmentAndElementWrites) {
-  auto fl = run("src/compress/x.cpp",
-                "void a(nn::Parameter* p) { p->mask = Tensor(); }\n"
-                "void b(nn::Parameter& p) { p.value[0] = 1.0f; }\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 2);
-}
-
-TEST(ParamVersion, BumpInOtherNonCallingFunctionDoesNotCount) {
-  auto fl = run("src/compress/x.cpp",
-                "void a(nn::Parameter& p) { p.value = Tensor(); }\n"
-                "void b(nn::Parameter& p) { p.bump_version(); }\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 1);
-}
-
-TEST(ParamVersion, ConstParameterReadsAreFine) {
-  auto fl = run("src/nn/x.cpp",
-                "float peek(const nn::Parameter& p) {\n"
-                "  return p.value[0] + (p.mask ? 1.0f : 0.0f);\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 0);
-}
-
-TEST(ParamVersion, MutatorMethodsAreFlagged) {
-  auto fl = run("src/compress/x.cpp",
-                "void z(nn::Parameter& p) { p.value.fill(0.0f); }\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 1);
-}
-
-// v2: a helper whose every caller bumps is clean — the version write is
-// the caller's responsibility and the engine can now see it happen.
-TEST(ParamVersion, CallerBumpExcusesHelper) {
-  auto fl = run("src/compress/x.cpp",
-                "void strip(nn::Parameter& p) {\n"
-                "  p.value.fill(0.0f);\n"
-                "}\n"
-                "void apply(nn::Parameter& p) {\n"
-                "  strip(p);\n"
-                "  p.bump_version();\n"
-                "}\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 0);
-}
-
-TEST(ParamVersion, NonBumpingCallerIsNamedInTheFinding) {
-  auto fl = run("src/compress/x.cpp",
-                "void strip(nn::Parameter& p) {\n"
-                "  p.value.fill(0.0f);\n"
-                "}\n"
-                "void apply(nn::Parameter& p) {\n"
-                "  strip(p);\n"
-                "}\n");
-  ASSERT_EQ(count_rule(fl, "param-version"), 1);
-  EXPECT_TRUE(contains(fl.diagnostics[0].message, "apply"));
-}
-
-TEST(ParamVersion, OneBadCallerAmongGoodOnesStillFires) {
-  auto fl = run("src/compress/x.cpp",
-                "void strip(nn::Parameter& p) { p.value.fill(0.0f); }\n"
-                "void good(nn::Parameter& p) { strip(p); p.bump_version(); }\n"
-                "void bad(nn::Parameter& p) { strip(p); }\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 1);
-}
-
-TEST(ParamVersion, CrossFileCallerBumpIsSeen) {
-  auto fl = run("src/compress/strip.cpp",
-                "void strip(nn::Parameter& p) { p.value.fill(0.0f); }\n",
-                {{"src/compress/apply.cpp",
-                  "void apply(nn::Parameter& p) {\n"
-                  "  strip(p);\n"
-                  "  p.bump_version();\n"
-                  "}\n"}});
-  EXPECT_EQ(count_rule(fl, "param-version"), 0);
-}
-
 // ---- layer-reentrancy -------------------------------------------------------
 
 const SourceList kLayerHierarchy = {
@@ -652,35 +559,35 @@ TEST(IncludeHygiene, ContainmentIsTheKernelsDirectoryNotAFileList) {
 
 TEST(Suppression, AllowWithReasonSuppressesSameAndNextLine) {
   auto fl = run("src/compress/x.cpp",
-                "void a(nn::Parameter& p) {\n"
-                "  p.transform.reset();  // conlint:allow(param-version): "
-                "caller bumps after the batch of edits\n"
+                "int a() {\n"
+                "  return rand();  // conlint:allow(determinism): "
+                "fixture draws once\n"
                 "}\n"
-                "void b(nn::Parameter& p) {\n"
-                "  // conlint:allow(param-version): caller bumps\n"
-                "  p.mask = Tensor();\n"
+                "int b() {\n"
+                "  // conlint:allow(determinism): fixture draws once\n"
+                "  return rand();\n"
                 "}\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 0);
+  EXPECT_EQ(count_rule(fl, "determinism"), 0);
   EXPECT_EQ(fl.suppressed.size(), 2u);
   EXPECT_EQ(fl.used_allows.size(), 2u);
 }
 
 TEST(Suppression, AllowWithoutReasonIsADirectiveError) {
   auto fl = run("src/compress/x.cpp",
-                "void a(nn::Parameter& p) {\n"
-                "  p.transform.reset();  // conlint:allow(param-version)\n"
+                "int a() {\n"
+                "  return rand();  // conlint:allow(determinism)\n"
                 "}\n");
   EXPECT_EQ(count_rule(fl, "directive"), 1);
   // And the underlying finding is NOT suppressed.
-  EXPECT_EQ(count_rule(fl, "param-version"), 1);
+  EXPECT_EQ(count_rule(fl, "determinism"), 1);
 }
 
 TEST(Suppression, AllowForWrongRuleDoesNotSuppress) {
   auto fl = run("src/compress/x.cpp",
-                "void a(nn::Parameter& p) {\n"
-                "  p.transform.reset();  // conlint:allow(determinism): wrong\n"
+                "int a() {\n"
+                "  return rand();  // conlint:allow(lock-order): wrong\n"
                 "}\n");
-  EXPECT_EQ(count_rule(fl, "param-version"), 1);
+  EXPECT_EQ(count_rule(fl, "determinism"), 1);
 }
 
 TEST(Suppression, UnknownRuleNameIsADirectiveError) {
@@ -714,9 +621,9 @@ TEST(StaleSuppression, AllowSuppressingNothingIsReported) {
 TEST(StaleSuppression, ActiveAllowIsNotReported) {
   const std::string path = "src/compress/x.cpp";
   const std::string source =
-      "void a(nn::Parameter& p) {\n"
-      "  // conlint:allow(param-version): caller bumps\n"
-      "  p.mask = Tensor();\n"
+      "int a() {\n"
+      "  // conlint:allow(determinism): fixture draws once\n"
+      "  return rand();\n"
       "}\n";
   ProjectIndex idx;
   idx.add_file(path, source);

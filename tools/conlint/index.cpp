@@ -8,11 +8,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 }  // namespace
 
 std::size_t match_forward(const Toks& t, std::size_t i, const char* open,
@@ -317,30 +312,6 @@ Segmentation segment(const Toks& t) {
   return out;
 }
 
-std::set<std::string> collect_parameter_vars(const Toks& t) {
-  std::set<std::string> vars;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t, i, "Parameter")) continue;
-    // const-ness: look left past namespace qualifiers.
-    bool is_const = false;
-    {
-      std::size_t j = i;
-      while (j >= 2 && is_punct(t, j - 1, "::") &&
-             t[j - 2].kind == TokKind::kIdent) {
-        j -= 2;
-      }
-      if (j >= 1 && is_ident(t, j - 1, "const")) is_const = true;
-    }
-    std::size_t j = i + 1;
-    while (is_punct(t, j, "*") || is_punct(t, j, "&")) ++j;
-    if (j >= t.size() || t[j].kind != TokKind::kIdent) continue;
-    // `Parameter name(` is a function declaration/ctor call, not a var.
-    if (is_punct(t, j + 1, "(")) continue;
-    if (!is_const) vars.insert(t[j].text);
-  }
-  return vars;
-}
-
 // ---- extraction helpers -----------------------------------------------------
 
 namespace {
@@ -447,70 +418,6 @@ void extract_randoms(const Toks& t, const FunctionInfo& fn, FunctionDef& def) {
         def.randoms.push_back({t[i].line, "unseeded std::" + s});
       }
     }
-  }
-}
-
-const std::set<std::string>& tensor_mutator_names() {
-  static const std::set<std::string> m = {"fill", "zero", "resize",
-                                          "shrink_rows", "reset", "swap"};
-  return m;
-}
-
-// True if the statement containing token `i` declares a const binding or is
-// a return statement — in which case `.data()` access is a read.
-bool statement_reads_only(const Toks& t, std::size_t i) {
-  for (std::size_t j = statement_head(t, i); j <= i; ++j) {
-    if (is_ident(t, j, "const") || is_ident(t, j, "return")) return true;
-  }
-  return false;
-}
-
-void extract_mutations(const Toks& t, const FunctionInfo& fn,
-                       const std::set<std::string>& param_vars,
-                       FunctionDef& def) {
-  if (param_vars.empty()) return;
-  for (std::size_t i = fn.open; i + 2 <= fn.close; ++i) {
-    if (t[i].kind != TokKind::kIdent || param_vars.count(t[i].text) == 0) {
-      continue;
-    }
-    if (!(is_punct(t, i + 1, ".") || is_punct(t, i + 1, "->"))) continue;
-    const std::size_t f = i + 2;
-    if (!(is_ident(t, f, "value") || is_ident(t, f, "mask") ||
-          is_ident(t, f, "transform"))) {
-      continue;
-    }
-    std::size_t j = f + 1;
-    bool mutation = false;
-    std::string what =
-        t[i].text + (t[i + 1].text == "." ? "." : "->") + t[f].text;
-    if (is_punct(t, j, "=")) {
-      mutation = true;
-    } else if (is_punct(t, j, "[")) {
-      std::size_t close = match_forward(t, j, "[", "]");
-      if (close != npos &&
-          (is_punct(t, close + 1, "=") || is_punct(t, close + 1, "+=") ||
-           is_punct(t, close + 1, "-=") || is_punct(t, close + 1, "*=") ||
-           is_punct(t, close + 1, "/="))) {
-        mutation = true;
-      }
-    } else if (is_punct(t, j, ".") && j + 1 <= fn.close &&
-               t[j + 1].kind == TokKind::kIdent) {
-      const std::string& m = t[j + 1].text;
-      if (tensor_mutator_names().count(m) != 0) {
-        mutation = true;
-      } else if (m == "data" && !statement_reads_only(t, i)) {
-        mutation = true;
-        what += ".data() bound to a mutable pointer";
-      }
-    }
-    // First argument of an *_inplace op is written.
-    if (!mutation && i >= 2 && is_punct(t, i - 1, "(") &&
-        t[i - 2].kind == TokKind::kIdent &&
-        ends_with(t[i - 2].text, "_inplace")) {
-      mutation = true;
-      what = t[i - 2].text + "(" + what + ", ...)";
-    }
-    if (mutation) def.mutations.push_back({t[i].line, what});
   }
 }
 
@@ -789,7 +696,6 @@ void ProjectIndex::add_file(const std::string& path,
     extract_members(t, c, members_[c.name]);
   }
 
-  const std::set<std::string> param_vars = collect_parameter_vars(t);
   int lock_group = 0;
   for (const FunctionInfo& fn : seg.functions) {
     FunctionDef def;
@@ -798,12 +704,8 @@ void ProjectIndex::add_file(const std::string& path,
     def.class_name = fn.class_name;
     def.ns = fn.ns;
     def.head_line = fn.head < t.size() ? t[fn.head].line : 0;
-    for (std::size_t i = fn.open; i <= fn.close && i < t.size(); ++i) {
-      if (is_ident(t, i, "bump_version")) def.bumps = true;
-    }
     extract_calls(t, fn, def);
     extract_randoms(t, fn, def);
-    extract_mutations(t, fn, param_vars, def);
     extract_locks(t, fn, def, lock_group);
     extract_local_types(t, fn, def);
     const std::size_t id = functions_.size();

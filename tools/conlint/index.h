@@ -65,10 +65,6 @@ struct Segmentation {
 
 Segmentation segment(const Toks& t);
 
-// Identifiers declared with (non-const) Parameter type anywhere in the
-// file, e.g. `Parameter& p`, member `Parameter weight_;`.
-std::set<std::string> collect_parameter_vars(const Toks& t);
-
 // ---- per-function summaries -------------------------------------------------
 
 // One call expression: `name(...)` with optional `a::b::` qualifier
@@ -110,11 +106,6 @@ struct RandomSite {
   std::string what;
 };
 
-struct MutationSite {
-  int line = 0;
-  std::string what;  // e.g. "p.value = ..." description for param-version
-};
-
 struct FunctionDef {
   std::string file;        // repo-relative path of the defining file
   std::string name;
@@ -122,11 +113,9 @@ struct FunctionDef {
   std::string ns;          // enclosing namespace chain ("" at global scope;
                            // anonymous namespaces contribute no segment)
   int head_line = 0;       // line of the definition's first token
-  bool bumps = false;      // body contains bump_version
   std::vector<CallSite> calls;
   std::vector<LockSite> locks;
   std::vector<RandomSite> randoms;
-  std::vector<MutationSite> mutations;  // param-version mutation sites
   // Candidate `TypeIdent [&*] name` bindings (params and locals), used to
   // type guard receiver expressions; validated against known classes at
   // resolution time.
@@ -145,8 +134,8 @@ struct FileIndex {
 };
 
 // Cross-file knowledge collected in pass 1: class hierarchy and member
-// inventories, and function definitions with call/lock/randomness/
-// Parameter-mutation summaries.
+// inventories, and function definitions with call/lock/randomness
+// summaries.
 class ProjectIndex {
  public:
   // Indexes one file. `path` should be repo-relative (it keys the index and

@@ -1,8 +1,8 @@
 // Token scanner for conlint (tools/conlint/README in DESIGN.md §7).
 //
 // conlint deliberately avoids libclang: the project invariants it checks
-// (bump_version pairing, Layer reentrancy, seeded randomness, lock order,
-// include hygiene) are all visible at token level, and a dependency-free
+// (Layer reentrancy, seeded randomness, lock order, include hygiene) are
+// all visible at token level, and a dependency-free
 // tool can run in every environment the build runs in.
 // The lexer understands exactly as much C++ as the rules need: comments
 // (where conlint's own directives live), string/char literals including

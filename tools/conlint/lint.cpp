@@ -52,28 +52,6 @@ struct Sink {
   }
 };
 
-// ---- param-version (interprocedural) ---------------------------------------
-
-void rule_param_version(const std::string& path, const ProjectIndex& index,
-                        const CallGraph& graph, Sink& sink) {
-  const FileIndex* fi = index.file(path);
-  if (fi == nullptr) return;
-  for (std::size_t id : fi->function_ids) {
-    const FunctionDef& fn = index.functions()[id];
-    if (fn.bumps || fn.mutations.empty()) continue;
-    if (graph.bump_excused(id)) continue;
-    const std::string why = graph.bump_excuse_failure(id);
-    for (const MutationSite& m : fn.mutations) {
-      sink.report(
-          m.line, "param-version",
-          "write to Parameter storage (" + m.what + ") in '" + fn.name +
-              "' without bump_version() in the same function body, and " +
-              why + "; stale packed-weight panels would serve the old "
-              "effective weights (nn/packed_weights.h)");
-    }
-  }
-}
-
 // ---- layer-reentrancy -------------------------------------------------------
 
 void rule_layer_reentrancy(const Toks& t, const Segmentation& seg,
@@ -241,8 +219,8 @@ void rule_include_hygiene(const std::string& path, const Toks& t,
 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> names = {
-      "param-version", "layer-reentrancy", "determinism",
-      "transitive-determinism", "lock-order", "include-hygiene"};
+      "layer-reentrancy", "determinism", "transitive-determinism",
+      "lock-order", "include-hygiene"};
   return names;
 }
 
@@ -274,7 +252,6 @@ FileLint lint_source(const std::string& path, const std::string& source,
   Segmentation seg = segment(lx.tokens);
   const bool is_header = ends_with(path, ".h") || ends_with(path, ".hpp");
 
-  rule_param_version(path, index, graph, sink);
   rule_layer_reentrancy(lx.tokens, seg, index.derived_from("Layer"), sink);
   if (!determinism_exempt_path(path)) rule_determinism(lx.tokens, sink);
   rule_transitive_determinism(path, index, graph, sink);

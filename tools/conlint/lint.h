@@ -1,13 +1,10 @@
 // conlint rule engine: project-invariant checks over token streams, backed
 // by the two-pass ProjectIndex/CallGraph (index.h, callgraph.h). Each rule
 // guards a contract the paper's numbers rest on (DESIGN.md §7); the
-// allocation contract is measured, not linted (tests/test_heap.cpp).
+// allocation contract is measured, not linted (tests/test_heap.cpp), and
+// the packed-weight version contract is held by nn::Parameter's type.
 //
 // Per-file rules:
-//   param-version      — writes to Parameter value/mask/transform storage
-//                        must be paired with bump_version() in the same
-//                        function body OR in every indexed caller chain,
-//                        or the packed-weight cache serves stale panels.
 //   layer-reentrancy   — Layer-derived classes have no `mutable` members:
 //                        forward/backward are const and run concurrently on
 //                        shared models.
