@@ -28,6 +28,7 @@
 #include "attacks/attack.h"
 #include "models/model_zoo.h"
 #include "nn/trainer.h"
+#include "oracles/deepfool_reference.h"
 #include "tensor/random.h"
 #include "util/rng.h"
 
@@ -155,7 +156,7 @@ BENCHMARK_CAPTURE(BM_DeepFoolBatched, cifarnet_degraded,
     ->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
-// --manifest, --no-metrics, ...) are parsed out of argv before
+// --manifest, --telemetry, ...) are parsed out of argv before
 // benchmark::Initialize sees it.
 int main(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::parse_benchmark_flags(argc, argv);

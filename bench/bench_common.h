@@ -61,10 +61,10 @@ struct BenchSetup {
   FigureFlags figure;
   // Observability flags (see DESIGN.md §6): --trace <path> enables span
   // recording and exports a Chrome trace on finish_run(); --manifest writes
-  // artifacts/<name>_manifest.json; --no-metrics turns counter updates into
-  // a predicted branch. Live telemetry: --telemetry <path> streams JSONL
-  // samples every --telemetry-interval ms, --stats-socket <path> serves a
-  // JSON snapshot per connection (query with tools/con-stats).
+  // artifacts/<name>_manifest.json. Live telemetry: --telemetry <path>
+  // streams JSONL samples every --telemetry-interval ms, --stats-socket
+  // <path> serves a JSON snapshot per connection (query with
+  // tools/con-stats).
   std::string trace_path;
   bool write_manifest = false;
   std::string telemetry_path;
@@ -92,16 +92,14 @@ inline std::size_t parse_threads(util::CliFlags& flags) {
 }
 
 // Parse only the observability flags (--trace <path>, --manifest,
-// --no-metrics, --telemetry <path>, --telemetry-interval <ms>,
-// --stats-socket <path>) plus --kernel <scalar|avx2> — the subset
+// --telemetry <path>, --telemetry-interval <ms>, --stats-socket <path>)
+// plus --kernel <scalar|avx2> — the subset
 // shared by every binary, including the examples and google-benchmark
 // runners that do not take the study sizing flags.
 inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
   BenchSetup setup;
   setup.trace_path = flags.get_string("trace", "");
   setup.write_manifest = flags.get_bool("manifest", false);
-  // CliFlags parses `--no-metrics` as the negation of `--metrics`.
-  obs::set_metrics(flags.get_bool("metrics", true));
   setup.telemetry_path = flags.get_string("telemetry", "");
   const int interval_ms =
       flags.get_int("telemetry-interval", 200, 1, kMaxIntervalMs);

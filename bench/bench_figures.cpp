@@ -228,9 +228,8 @@ void table1(Run&) {
 void figure2(Run& run) {
   const bench::FigureFlags& f = run.flags();
   const std::vector<double> densities = f.densities.value_or(
-      run.setup.paper_scale
-          ? std::vector<double>{1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05, 0.03}
-          : std::vector<double>{1.0, 0.6, 0.3, 0.1, 0.03});
+      run.setup.paper_scale ? core::paper_density_grid()
+                            : std::vector<double>{1.0, 0.6, 0.3, 0.1, 0.03});
   std::printf("== Figure 2: transferability under pruning (%s) ==\n",
               f.one_shot ? "one-shot" : "dynamic network surgery");
   for (const std::string& net : run.networks()) {
@@ -370,7 +369,7 @@ void figure4(Run& run) {
 void figure5(Run& run) {
   const bench::FigureFlags& f = run.flags();
   const std::vector<int> bitwidths = f.bitwidths.value_or(
-      run.setup.paper_scale ? std::vector<int>{4, 8, 12, 16, 24, 32}
+      run.setup.paper_scale ? core::paper_bitwidth_grid()
                             : std::vector<int>{4, 8, 16, 32});
   const std::vector<double> xs(bitwidths.begin(), bitwidths.end());
   std::printf("== Figure 5: transferability under fixed-point quantisation "

@@ -8,7 +8,6 @@
 
 #include "attacks/attack.h"
 #include "compress/fixed_point.h"
-#include "compress/integer_exec.h"
 #include "compress/integer_model.h"
 #include "compress/pruner.h"
 #include "compress/quant_activation.h"
@@ -16,6 +15,7 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
+#include "oracles/integer_exec.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/kernels/dispatch.h"
@@ -442,17 +442,6 @@ void BM_Int8GemmAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_Int8GemmAvx2)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_Im2col(benchmark::State& state) {
-  Tensor img = random_tensor({3, 32, 32}, 6);
-  tensor::Conv2dGeometry g{.in_channels = 3, .in_h = 32, .in_w = 32,
-                           .kernel_h = 3, .kernel_w = 3, .stride = 1,
-                           .padding = 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::im2col(img, g));
-  }
-}
-BENCHMARK(BM_Im2col);
-
 void BM_LeNetForward(benchmark::State& state) {
   nn::Sequential m = models::make_lenet5_small(7);
   Tensor x = random_tensor({static_cast<tensor::Index>(state.range(0)), 1, 28,
@@ -530,7 +519,7 @@ BENCHMARK(BM_DeepFoolSingle);
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
-// --manifest, --no-metrics, ...) are parsed out of argv before
+// --manifest, --telemetry, ...) are parsed out of argv before
 // benchmark::Initialize sees it.
 int main(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::parse_benchmark_flags(argc, argv);

@@ -7,18 +7,17 @@
 // gradients, which is why the paper finds it produces the smallest — and
 // under quantisation the most fragile — perturbations.
 //
-// Two implementations with byte-identical outputs:
-//  - deepfool(): batched active-set attack. One forward per iteration over
-//    the set of not-yet-fooled samples, then num_classes batched backwards
-//    (a [B, K] seed with one-hot column k yields ∇ₓf_k for every row at
-//    once), per-row nearest-boundary selection, and live-set compaction so
-//    work stays proportional to surviving samples.
-//  - deepfool_reference(): the original per-sample loop (batch-of-1 forward
-//    plus num_classes backwards per sample per iteration), kept as the
-//    bit-identity oracle for tests and benches.
-// The identity rests on the GEMM contract (DESIGN.md §5): every batch
-// row's dot products are computed exactly as in a batch-of-1, and all
-// other layers are per-row maps in eval mode.
+// deepfool() is a batched active-set attack. One forward per iteration
+// over the set of not-yet-fooled samples, then num_classes batched
+// backwards (a [B, K] seed with one-hot column k yields ∇ₓf_k for every row
+// at once), per-row nearest-boundary selection, and live-set compaction so
+// work stays proportional to surviving samples. Its outputs are
+// byte-identical to the per-sample loop (batch-of-1 forward plus
+// num_classes backwards per sample per iteration), which the tests and
+// benches keep as attacks::deepfool_reference in tests/oracles. The
+// identity rests on the GEMM contract (DESIGN.md §5): every batch row's dot
+// products are computed exactly as in a batch-of-1, and all other layers
+// are per-row maps in eval mode.
 #pragma once
 
 #include <vector>
@@ -42,14 +41,6 @@ struct DeepFoolResult {
 DeepFoolResult deepfool(const nn::Sequential& model, const Tensor& images,
                         const std::vector<int>& labels,
                         const AttackParams& params, int num_classes = 10);
-
-// Per-sample reference implementation; byte-identical to deepfool() but a
-// batch-of-1 forward plus num_classes backwards per sample per iteration.
-DeepFoolResult deepfool_reference(const nn::Sequential& model,
-                                  const Tensor& images,
-                                  const std::vector<int>& labels,
-                                  const AttackParams& params,
-                                  int num_classes = 10);
 
 // Attack rows [lo, hi) of `images`, writing adversarial rows straight into
 // the same rows of `out_adversarial` (same shape as `images`) and, when

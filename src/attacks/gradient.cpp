@@ -1,7 +1,5 @@
 #include "attacks/gradient.h"
 
-#include <stdexcept>
-
 #include "nn/loss.h"
 
 namespace con::attacks {
@@ -18,26 +16,6 @@ Tensor loss_input_gradient(const nn::Sequential& model, const Tensor& batch,
   Tensor logits = model.forward(batch, /*train=*/false, tape);
   nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
   return model.backward(loss.grad_logits, tape);
-}
-
-Tensor logit_input_gradient(const nn::Sequential& model,
-                            const Tensor& sample_batch, int class_index,
-                            int num_classes) {
-  if (sample_batch.dim(0) != 1) {
-    throw std::invalid_argument(
-        "logit_input_gradient expects a single-sample batch");
-  }
-  nn::ForwardTape tape(/*accumulate_param_grads=*/false);
-  Tensor logits = model.forward(sample_batch, /*train=*/false, tape);
-  if (logits.dim(1) != num_classes) {
-    throw std::invalid_argument("logit_input_gradient: class count mismatch");
-  }
-  if (class_index < 0 || class_index >= num_classes) {
-    throw std::out_of_range("logit_input_gradient: class index out of range");
-  }
-  Tensor seed(logits.shape());
-  seed.at({0, class_index}) = 1.0f;
-  return model.backward(seed, tape);
 }
 
 }  // namespace con::attacks

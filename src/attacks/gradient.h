@@ -29,10 +29,4 @@ Tensor loss_input_gradient(const nn::Sequential& model, const Tensor& batch,
                            const std::vector<int>& labels,
                            nn::ForwardTape& tape);
 
-// ∇ₓ f_k(X): gradient of logit k w.r.t. a single-sample batch [1,...].
-// Used by DeepFool, which needs per-class decision-boundary geometry.
-Tensor logit_input_gradient(const nn::Sequential& model,
-                            const Tensor& sample_batch, int class_index,
-                            int num_classes);
-
 }  // namespace con::attacks

@@ -51,16 +51,6 @@ std::string FixedPointFormat::to_string() const {
          " bits)";
 }
 
-float fixed_point_quantize(float v, const FixedPointFormat& fmt) {
-  const float s = fmt.step();
-  float q = std::nearbyint(v / s) * s;
-  const float lo = fmt.lo();
-  const float hi = fmt.hi();
-  if (q < lo) q = lo;
-  if (q > hi) q = hi;
-  return q;
-}
-
 Tensor fixed_point_quantize(const Tensor& t, const FixedPointFormat& fmt) {
   Tensor out(t.shape());
   tensor::fake_quant(out, nullptr, t, fmt.step(), fmt.lo(), fmt.hi());

@@ -44,11 +44,8 @@ struct FixedPointFormat {
 // format when !fmt.valid().
 FixedPointFormat checked_format(FixedPointFormat fmt, const char* who);
 
-// Quantise a single value: round-to-nearest onto the grid, then saturate.
-// The per-value reference for tensor::fake_quant.
-float fixed_point_quantize(float v, const FixedPointFormat& fmt);
-
-// Quantise a whole tensor (returns a new tensor) through tensor::fake_quant.
+// Quantise a whole tensor (returns a new tensor) through tensor::fake_quant:
+// round-to-nearest onto the grid, then saturate.
 Tensor fixed_point_quantize(const Tensor& t, const FixedPointFormat& fmt);
 
 // Weight transform plugging fixed-point fake-quantisation into Parameter.

@@ -6,7 +6,8 @@
 // its Linear/Conv2d layers on the real int8 backend (nn::*::forward_int8 →
 // tensor/gemm_int8.h): int8 codes, int32 accumulators, round-half-even
 // requantisation — each quantised layer bit-identical to the
-// compress::integer_exec oracle. It walks the model's fused groups
+// compress::integer_exec oracle, which lives beside the tests
+// (tests/oracles/integer_exec.h). It walks the model's fused groups
 // (nn::Sequential): a ReLU grouped with an int8 layer runs in its
 // requantiser as max(out_lo, 0), and the group's QuantActivation layers,
 // exact identities on its on-grid output, do not run. Layers without an

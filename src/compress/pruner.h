@@ -56,12 +56,10 @@ class DnsPruner {
   nn::PostStepHook hook();
 
  private:
-  // The density update_masks() currently aims for; equals the configured
-  // target except while annealing.
-  double current_target() const { return current_target_; }
-
   nn::Sequential* model_;
   DnsConfig config_;
+  // The density update_masks() currently aims for; equals the configured
+  // target except while annealing.
   double current_target_;
   std::vector<nn::Parameter*> pruned_params_;
 };

@@ -61,20 +61,6 @@ double linear_cka(const Tensor& x, const Tensor& y) {
   return cross / std::sqrt(kk * ll);
 }
 
-Tensor layer_activation_matrix(const nn::Sequential& model, const Tensor& batch,
-                               std::size_t layer_index) {
-  if (layer_index >= model.num_layers()) {
-    throw std::out_of_range("layer_activation_matrix: bad layer index");
-  }
-  nn::ForwardTape tape(/*accumulate_param_grads=*/false);
-  Tensor h = batch;
-  for (std::size_t i = 0; i <= layer_index; ++i) {
-    h = model.layer(i).forward(h, /*train=*/false, tape.slot(i));
-  }
-  const Index n = h.dim(0);
-  return h.reshaped({n, h.numel() / n});
-}
-
 std::vector<LayerSimilarity> feature_space_similarity(
     const nn::Sequential& reference, const nn::Sequential& other, const Tensor& batch) {
   // Collect activations by layer name in both models (quantisation passes

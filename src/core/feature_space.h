@@ -23,12 +23,6 @@ namespace con::core {
 // representational geometry up to linear transforms.
 double linear_cka(const tensor::Tensor& x, const tensor::Tensor& y);
 
-// Activation matrix [n_samples, features] of the layer at `layer_index`
-// when `batch` flows through `model` in eval mode.
-tensor::Tensor layer_activation_matrix(const nn::Sequential& model,
-                                       const tensor::Tensor& batch,
-                                       std::size_t layer_index);
-
 struct LayerSimilarity {
   std::size_t layer_index;
   std::string layer_name;

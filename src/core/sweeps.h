@@ -68,7 +68,8 @@ std::vector<ScenarioPoint> sweep_scenarios_integer(
     Study& study, std::vector<ModelArtifact>& family,
     attacks::AttackKind attack, const attacks::AttackParams& params);
 
-// The paper's default sweep grids.
+// The paper's sweep grids: the --paper-scale axes of bench_figures' F2
+// (densities) and F5 (bitwidths).
 std::vector<double> paper_density_grid();
 std::vector<int> paper_bitwidth_grid();
 

@@ -46,7 +46,8 @@ class Conv2d : public Layer {
   // the codes' column matrix lowered panel by panel (padding is code 0,
   // int32 accumulators), and requantises each panel straight into NCHW
   // (tensor/gemm_int8.h conv2d_int8) — bit-identical to the
-  // compress::integer_exec oracle for any --threads and any CON_KERNEL.
+  // compress::integer_exec oracle (tests/oracles/integer_exec.h) for any
+  // --threads and any CON_KERNEL.
   // `relu` folds a following ReLU into the requantiser's lower bound,
   // max(out_lo, 0): the same bits as the float ReLU on the output.
   Tensor forward_int8(const Tensor& x, const Int8FormatKey& key,

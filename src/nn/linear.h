@@ -28,8 +28,9 @@ class Linear : public Layer {
   // key's activation grid, multiplies int8 codes against cached packed
   // weight-code panels with int32 accumulators, and requantises each
   // panel's tile with a round-half-even shift in the product's epilogue —
-  // bit-identical to the compress::integer_exec oracle for any --threads
-  // and any CON_KERNEL (tensor/gemm_int8.h).
+  // bit-identical to the compress::integer_exec oracle
+  // (tests/oracles/integer_exec.h) for any --threads and any CON_KERNEL
+  // (tensor/gemm_int8.h).
   // Requires weight_'s transform to snap onto exactly the key's grid.
   // `relu` folds a following ReLU into the requantiser's lower bound, as
   // in Conv2d::forward_int8.

@@ -46,9 +46,4 @@ Tensor Parameter::effective(Tensor& gate_out) const {
   return eff;
 }
 
-double Parameter::pruned_fraction() const {
-  if (!has_mask()) return 0.0;
-  return tensor::zero_fraction(mask_);
-}
-
 }  // namespace con::nn

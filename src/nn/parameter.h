@@ -94,9 +94,6 @@ class Parameter {
   // True if a mask is attached (even an all-ones one).
   bool has_mask() const { return !mask_.empty(); }
 
-  // Fraction of mask entries equal to zero; 0 for dense parameters.
-  double pruned_fraction() const;
-
   void zero_grad() { grad.zero(); }
 
  private:

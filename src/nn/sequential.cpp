@@ -184,14 +184,4 @@ Sequential Sequential::clone() const {
   return copy;
 }
 
-std::string Sequential::summary() const {
-  std::string s = name_ + " (" + std::to_string(num_parameters()) +
-                  " parameters, density " +
-                  std::to_string(density()) + ")\n";
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    s += "  [" + std::to_string(i) + "] " + layers_[i]->name() + "\n";
-  }
-  return s;
-}
-
 }  // namespace con::nn

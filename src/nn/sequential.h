@@ -111,9 +111,6 @@ class Sequential {
 
   Sequential clone() const;
 
-  // Human-readable architecture summary.
-  std::string summary() const;
-
  private:
   // Recomputes groups_ from layers_ and resolves each group's instruments;
   // every add/insert calls it.

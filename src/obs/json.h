@@ -49,9 +49,6 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
-  }
 
   bool as_bool() const { return check(Kind::kBool), bool_; }
   std::int64_t as_int() const { return check(Kind::kInt), int_; }

@@ -9,14 +9,6 @@
 
 namespace con::obs {
 
-namespace detail {
-std::atomic<bool> g_metrics{true};
-}  // namespace detail
-
-void set_metrics(bool enabled) {
-  detail::g_metrics.store(enabled, std::memory_order_relaxed);
-}
-
 namespace {
 
 // CAS loops instead of std::atomic<double>::fetch_add so the same code
@@ -48,7 +40,6 @@ Distribution::Distribution()
       max_(-std::numeric_limits<double>::infinity()) {}
 
 void Distribution::record(double x) {
-  if (!metrics_enabled()) return;
   counts_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, x);
   atomic_add(sumsq_, x * x);
@@ -110,16 +101,10 @@ std::uint64_t Distribution::percentile_of(
   return bucket_upper(buckets.size() - 1);
 }
 
-ScopedTimer::ScopedTimer(Distribution& d) {
-  if (!metrics_enabled()) return;
-  dist_ = &d;
-  start_ns_ = now_ns();
-}
+ScopedTimer::ScopedTimer(Distribution& d) : dist_(d), start_ns_(now_ns()) {}
 
 ScopedTimer::~ScopedTimer() {
-  if (dist_ != nullptr) {
-    dist_->record(static_cast<double>(now_ns() - start_ns_));
-  }
+  dist_.record(static_cast<double>(now_ns() - start_ns_));
 }
 
 struct MetricsRegistry::Impl {

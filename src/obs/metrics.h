@@ -1,8 +1,7 @@
 // Process-wide named counters and distributions.
 //
 // Call sites cache a reference once and then pay one relaxed atomic RMW per
-// update (plus a relaxed enabled-load — `--no-metrics` turns recording into
-// a branch):
+// update:
 //
 //   static obs::Counter& c = obs::counter("gemm.dispatch.blocked");
 //   c.add(1);
@@ -31,19 +30,10 @@
 
 namespace con::obs {
 
-namespace detail {
-extern std::atomic<bool> g_metrics;
-}  // namespace detail
-
-inline bool metrics_enabled() {
-  return detail::g_metrics.load(std::memory_order_relaxed);
-}
-void set_metrics(bool enabled);
-
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
-    if (metrics_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
@@ -59,9 +49,9 @@ class Counter {
 // Bucket i counts observations whose value, rounded to the nearest
 // integer, has bit width i: bucket 0 holds values that round to 0 or
 // below, bucket i (1 <= i < kBuckets-1) holds 2^(i-1) <= v < 2^i, and the
-// last bucket absorbs everything larger, +infinity and NaN. record() is lock-free and
-// allocation-free (relaxed atomics on fixed slots, plus the enabled load),
-// so it is safe inside GEMM panels and attack inner loops. Integer-valued
+// last bucket absorbs everything larger, +infinity and NaN. record() is
+// lock-free and allocation-free (relaxed atomics on fixed slots), so it is
+// safe inside GEMM panels and attack inner loops. Integer-valued
 // observations keep every field identical for any --threads value: the
 // bucket counts are integer sums and double sums of integers below 2^53
 // are exact in any order, extending the counter determinism contract to
@@ -129,8 +119,7 @@ class Distribution {
 
 // Scoped wall-time observation: on destruction records the elapsed whole
 // nanoseconds into the distribution (integer-valued, but timings are not
-// deterministic, and comparisons skip them). Costs nothing but the enabled
-// check when metrics are off.
+// deterministic, and comparisons skip them).
 class ScopedTimer {
  public:
   explicit ScopedTimer(Distribution& d);
@@ -139,8 +128,8 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Distribution* dist_ = nullptr;
-  std::uint64_t start_ns_ = 0;
+  Distribution& dist_;
+  std::uint64_t start_ns_;
 };
 
 struct MetricsSnapshot {

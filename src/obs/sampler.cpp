@@ -26,8 +26,6 @@ Sampler::~Sampler() {
   finish({});
 }
 
-std::uint64_t Sampler::samples_written() const { return seq_; }
-
 void Sampler::run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {

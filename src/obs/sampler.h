@@ -54,9 +54,6 @@ class Sampler {
   bool ok() const { return file_ != nullptr; }
   const std::string& path() const { return opts_.path; }
 
-  // Records written so far (periodic + final).
-  std::uint64_t samples_written() const;
-
   // Joins the sampling thread and appends the final full-snapshot record.
   // `extra_counters` must be the same list the run manifest appends
   // (tensor.buffer_allocations, ...), in the same order, for the

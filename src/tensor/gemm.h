@@ -114,16 +114,16 @@ struct PackedMatrix {
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const PackedMatrix& b);
 
 // Convolution products over the column matrix B = im2col_batch(x, g)
-// ([C·kh·kw, N·oh·ow]) without materialising it or any other column
-// matrix: the forward lowers each panel's columns straight from the NCHW
-// input into its register strips (the kernel table's strip writer, one
-// strip at a time over the whole depth), the weight gradient lowers the
-// blocks of B it needs (lower_rows in ops.h) and packs them as it goes,
-// and the output gradient is read as NCHW, through the same panel driver
-// as the matmuls
-// above, so strips, skip lists, k order and therefore bits are those of
-// the matmul over the materialised matrices, on every ISA and thread
-// count.
+// ([C·kh·kw, N·oh·ow]; im2col_batch and col2im_batch, which build and
+// scatter it, are test oracles in tests/oracles/conv_lowering.h) without
+// materialising it or any other column matrix: the forward lowers each
+// panel's columns straight from the NCHW input into its register strips
+// (the kernel table's strip writer, one strip at a time over the whole
+// depth), the weight gradient lowers the blocks of B it needs (lower_rows
+// in ops.h) and packs them as it goes, and the output gradient is read as
+// NCHW, through the same panel driver as the matmuls above, so strips,
+// skip lists, k order and therefore bits are those of the matmul over the
+// materialised matrices, on every ISA and thread count.
 //
 // conv2d_nn: y[N, M, oh, ow] = (A · B)[M, N·oh·ow] scattered to NCHW plus
 // bias[M], A = the layer's weights packed pack_rowmajor(w, kStripA), `x`
@@ -164,9 +164,11 @@ void conv2d_nt(const float* grad_out, Index out_channels, const float* x,
 void conv2d_tn(const PackedMatrix& a, const float* grad_out, Index batch_size,
                const Conv2dGeometry& g, float* dx);
 
-// The pre-blocking scalar loops, kept as the correctness oracle for
-// tests/test_gemm.cpp and the before/after baseline in bench_micro_ops.
-// The blocked kernels above reproduce their output bit-for-bit.
+// The pre-blocking scalar loops: the correctness oracle for
+// tests/test_gemm.cpp and the before/after baseline in bench_micro_ops,
+// and also a production path — matmul_nn / _tn / _nt compute every product
+// of at most the kernel table's small_gemm_flops M·N·K with them. The
+// blocked kernels above reproduce their output bit-for-bit.
 [[nodiscard]] Tensor reference_nn(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor reference_tn(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor reference_nt(const Tensor& a, const Tensor& b);

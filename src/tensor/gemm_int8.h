@@ -6,7 +6,8 @@
 // layer runs the *integer* model the paper's deployment story implies:
 // operands are int8 codes, products accumulate in int32, and the result is
 // requantised back onto the activation grid with a round-half-even shift —
-// bit-identical to the compress::integer_exec int64 oracle whenever the
+// bit-identical to the compress::integer_exec int64 oracle
+// (tests/oracles/integer_exec.h) whenever the
 // int32 accumulator cannot overflow (callers validate K·2¹⁴ + |bias| < 2³¹
 // at lowering time, nn/packed_weights.cpp).
 //
@@ -118,7 +119,7 @@ void conv2d_int8(const PackedInt8A& a, const std::int8_t* x, Index batch_size,
 
 // Float → int8 codes through the kernel table's quant_i8 entry:
 // dst[i] = nearbyint(clamp(src[i], lo, hi) · inv_step), round-half-even.
-// Bit-identical to compress::integer_exec::quantize_to_code for finite
+// Bit-identical to the integer-exec oracle's quantize_to_code for finite
 // inputs on every ISA. Counter: requantize.quant_i8.
 void quantize_codes(std::int8_t* dst, const float* src, float inv_step,
                     float lo, float hi, Index n);

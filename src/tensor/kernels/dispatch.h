@@ -112,8 +112,8 @@ using Int8MicroKernelFn = void (*)(Index kpairs, const std::int16_t* ap,
 // (the default FP environment). `lo`/`hi` are the format's representable
 // value bounds (lo_code·step / hi_code·step — exactly representable), and
 // inv_step is a power of two, so the product is exact and every ISA rounds
-// the same real number: bit-identical to compress::integer_exec's
-// quantize_to_code for finite inputs.
+// the same real number: bit-identical to the integer-exec oracle's
+// quantize_to_code (tests/oracles/integer_exec.cpp) for finite inputs.
 using QuantI8Fn = void (*)(std::int8_t* dst, const float* src, float inv_step,
                            float lo, float hi, Index n);
 
@@ -130,10 +130,10 @@ using FakeQuantFn = void (*)(float* dst, float* gate, const float* src,
 // Requantise an int32 accumulator matrix [rows, cols] to float values on
 // the activation grid: y = sat(rshift_rne(acc + bias, shift), lo, hi) *
 // scale, where rshift_rne is the round-half-even arithmetic right shift of
-// compress::integer_exec and `scale` is the activation step (power of two,
-// so the final int→float multiply is exact). The two entries differ only in
-// bias indexing: per-column (Linear layout, acc [N, out]) or per-row (Conv
-// layout, acc [outC, N·P]).
+// the compress::integer_exec oracle (tests/oracles/) and `scale` is the
+// activation step (power of two, so the final int→float multiply is
+// exact). The two entries differ only in bias indexing: per-column (Linear
+// layout, acc [N, out]) or per-row (Conv layout, acc [outC, N·P]).
 using RequantFn = void (*)(float* y, const std::int32_t* acc,
                            const std::int32_t* bias, int shift,
                            std::int32_t lo, std::int32_t hi, float scale,

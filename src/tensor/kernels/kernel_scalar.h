@@ -89,8 +89,8 @@ inline void nt_2x8(Index depth, const float* ap, const float* bp,
 // ---- int8 integer path (the bit-exact oracle for every ISA) -----------------
 // Integer arithmetic end to end: the SIMD variants reorder freely (integer
 // addition is associative) and still match these loops bit for bit. See
-// dispatch.h for the layouts and compress/integer_exec.cpp for the int64
-// reference these agree with whenever the int32 accumulator cannot
+// dispatch.h for the layouts and tests/oracles/integer_exec.cpp for the
+// int64 reference these agree with whenever the int32 accumulator cannot
 // overflow (K·2¹⁴ + |bias| < 2³¹, validated at lowering).
 
 // Round-half-even arithmetic right shift — the int32 twin of
@@ -245,9 +245,10 @@ inline void tail_bwd(float* g, const float* mask, Index n) {
 }
 
 // Fixed-point fake-quantisation (dispatch.h FakeQuantFn), the operation
-// sequence of compress::fixed_point_quantize(float). It divides by `step`;
-// `inv_step` is only for the AVX2 table, whose multiply rounds the same
-// real number (step is a power of two).
+// sequence of the per-value compress::fixed_point_quantize(float) oracle
+// (tests/oracles/integer_exec.h). It divides by `step`; `inv_step` is only
+// for the AVX2 table, whose multiply rounds the same real number (step is
+// a power of two).
 inline void fake_quant(float* d, float* g, const float* s, float step,
                        float /*inv_step*/, float lo, float hi, Index n) {
   for (Index i = 0; i < n; ++i) {

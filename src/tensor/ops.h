@@ -98,12 +98,10 @@ void column_sums_add_inplace(Tensor& acc, const Tensor& m);
 
 // ---- linear algebra -------------------------------------------------------
 // Matrix products live in tensor/gemm.h (gemm::matmul_nn, _tn, _nt).
-// Rank-2 transpose.
-[[nodiscard]] Tensor transpose(const Tensor& a);
 
 // ---- convolution support ---------------------------------------------------
-// im2col for NCHW tensors: input [N,C,H,W] -> columns
-// [N, C*kh*kw, out_h*out_w], standard stride/padding semantics.
+// A [C,H,W] input under a kh×kw kernel, standard stride/padding semantics;
+// its (never materialised) column matrix is [C*kh*kw, out_h*out_w].
 struct Conv2dGeometry {
   Index in_channels = 0;
   Index in_h = 0;
@@ -116,37 +114,17 @@ struct Conv2dGeometry {
   Index out_w() const { return (in_w + 2 * padding - kernel_w) / stride + 1; }
 };
 
-// Extract patches of a single image [C,H,W] into [C*kh*kw, out_h*out_w].
-[[nodiscard]] Tensor im2col(const Tensor& image, const Conv2dGeometry& g);
-// Scatter-add the column gradient back into an image gradient [C,H,W].
-[[nodiscard]] Tensor col2im(const Tensor& columns, const Conv2dGeometry& g);
-
-// Batched variants: the whole batch becomes ONE column matrix, the operand
-// of a conv layer's single GEMM. Sample i occupies the contiguous column
-// block [i*out_h*out_w, (i+1)*out_h*out_w); within a block the layout
-// matches im2col, so per-column results are bit-identical to the
-// per-sample path. Oracle-only: the layers never build either matrix (the
-// forward lowers each panel's strips straight from the input, lower_rows
-// below feeds the weight gradient and the sparse row-axpy, and the input
-// gradient scatters one image's block at a time with col2im_add); they
-// are the oracles for compress::integer_exec and the tests.
-// [N,C,H,W] -> [C*kh*kw, N*out_h*out_w].
-[[nodiscard]] Tensor im2col_batch(const Tensor& batch, const Conv2dGeometry& g);
-// [C*kh*kw, N*out_h*out_w] -> [N,C,H,W] (scatter-add).
-[[nodiscard]] Tensor col2im_batch(const Tensor& columns, Index batch_size,
-                    const Conv2dGeometry& g);
-
 // Scatter-adds one image's column block — [C*kh*kw, out_h*out_w], rows `ld`
 // floats apart — into its CHW gradient `image`, row by row in ascending
-// row order: the adjoint of im2col and the per-image body of col2im /
-// col2im_batch, so every image element receives the same terms in the same
-// order (bit-identical on every kernel ISA; the contiguous runs go through
-// the table's unfused add entry). gemm.h conv2d_tn scatters each image's
-// input gradient with it.
+// row order: the adjoint of im2col, so every image element receives the
+// same terms in the same order (bit-identical on every kernel ISA; the
+// contiguous runs go through the table's unfused add entry). gemm.h
+// conv2d_tn scatters each image's input gradient with it.
 void col2im_add(const float* columns, Index ld, const Conv2dGeometry& g,
                 float* image);
 
-// Lowers a block of the column matrix im2col_batch would build, straight
+// Lowers a block of the batch's column matrix [C*kh*kw, N*out_h*out_w]
+// (image i's columns at [i*out_h*out_w, (i+1)*out_h*out_w)), straight
 // from the NCHW input and without materialising the matrix:
 // dst[(k - k0)·ld + (j - j0)] = columns[k, j] for rows k in [k0, k1) and
 // columns j in [j0, j0 + jn), where `batch` holds `batch_size` images of
@@ -170,8 +148,8 @@ void lower_rows(const T* batch, Index batch_size, const Conv2dGeometry& g,
 
 // Counts `elements` lowered column-matrix elements in the run manifests'
 // lowering counters: "im2col.bytes" (4 bytes each) for float, and
-// "im2col.int8.bytes" (1 byte each) for std::int8_t codes. Every im2col
-// entry point and every panel-lowering product counts what it lowers.
+// "im2col.int8.bytes" (1 byte each) for std::int8_t codes. Every
+// panel-lowering product counts what it lowers.
 template <typename T>
 void count_lowered(Index elements);
 

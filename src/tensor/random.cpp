@@ -19,13 +19,4 @@ void fill_kaiming_normal(Tensor& t, con::util::Rng& rng, Index fan_in) {
   fill_normal(t, rng, 0.0f, stddev);
 }
 
-void fill_xavier_uniform(Tensor& t, con::util::Rng& rng, Index fan_in,
-                         Index fan_out) {
-  if (fan_in <= 0 || fan_out <= 0) {
-    throw std::invalid_argument("fans must be positive");
-  }
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  fill_uniform(t, rng, -a, a);
-}
-
 }  // namespace con::tensor

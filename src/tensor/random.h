@@ -16,8 +16,4 @@ void fill_uniform(Tensor& t, con::util::Rng& rng, float lo, float hi);
 // stddev = sqrt(2 / fan_in).
 void fill_kaiming_normal(Tensor& t, con::util::Rng& rng, Index fan_in);
 
-// Xavier/Glorot uniform: U[-a, a], a = sqrt(6 / (fan_in + fan_out)).
-void fill_xavier_uniform(Tensor& t, con::util::Rng& rng, Index fan_in,
-                         Index fan_out);
-
 }  // namespace con::tensor

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <stdexcept>
 
 namespace con::tensor {
@@ -128,10 +127,6 @@ float& Tensor::at(std::initializer_list<Index> idx) {
   return data_[static_cast<std::size_t>(flat_index(idx))];
 }
 
-float Tensor::at(std::initializer_list<Index> idx) const {
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
 Tensor Tensor::reshaped(Shape new_shape) const {
   if (new_shape.numel() != numel()) {
     throw std::invalid_argument("reshape from " + shape_.to_string() + " to " +
@@ -142,18 +137,5 @@ Tensor Tensor::reshaped(Shape new_shape) const {
 }
 
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
-
-std::string Tensor::to_string(Index max_elems) const {
-  std::string s = "Tensor" + shape_.to_string() + " {";
-  const Index n = std::min<Index>(numel(), max_elems);
-  char buf[32];
-  for (Index i = 0; i < n; ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%.4g", i ? ", " : "", data_[i]);
-    s += buf;
-  }
-  if (numel() > max_elems) s += ", ...";
-  s += "}";
-  return s;
-}
 
 }  // namespace con::tensor

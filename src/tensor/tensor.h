@@ -77,7 +77,6 @@ class Tensor {
 
   // Multi-index accessors (bounds-checked in debug via at()).
   float& at(std::initializer_list<Index> idx);
-  float at(std::initializer_list<Index> idx) const;
 
   // Returns a tensor sharing no storage with this one, with the same data
   // but a different shape. numel must match.
@@ -101,8 +100,6 @@ class Tensor {
   // destination's capacity. Monotonic; read it before/after a region to
   // bound its allocation behaviour (see the attack-loop regression tests).
   [[nodiscard]] static std::uint64_t buffer_allocations();
-
-  std::string to_string(Index max_elems = 32) const;
 
  private:
   Index flat_index(std::initializer_list<Index> idx) const;

@@ -47,20 +47,12 @@ void logf(LogLevel level, const char* fmt, Args... args) {
 }
 
 template <typename... Args>
-void log_debug(const char* fmt, Args... args) {
-  logf(LogLevel::kDebug, fmt, args...);
-}
-template <typename... Args>
 void log_info(const char* fmt, Args... args) {
   logf(LogLevel::kInfo, fmt, args...);
 }
 template <typename... Args>
 void log_warn(const char* fmt, Args... args) {
   logf(LogLevel::kWarn, fmt, args...);
-}
-template <typename... Args>
-void log_error(const char* fmt, Args... args) {
-  logf(LogLevel::kError, fmt, args...);
 }
 
 // Wall-clock stopwatch for coarse phase timing in examples and benches.

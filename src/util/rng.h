@@ -79,8 +79,6 @@ class Rng {
     return next_u64() % n;
   }
 
-  int below_int(int n) { return static_cast<int>(below(static_cast<std::uint64_t>(n))); }
-
   // Standard normal via Box-Muller (no cached spare: keeps the generator
   // stateless apart from the xoshiro words, which simplifies reseeding).
   double normal() {

@@ -1,8 +1,10 @@
-#include "compress/integer_exec.h"
+#include "oracles/integer_exec.h"
 
 #include <cmath>
 #include <stdexcept>
 #include <string>
+
+#include "oracles/conv_lowering.h"
 
 namespace con::compress {
 
@@ -74,6 +76,16 @@ std::vector<std::int64_t> lower_bias_codes(const Tensor& bias,
 }
 
 }  // namespace
+
+float fixed_point_quantize(float v, const FixedPointFormat& fmt) {
+  const float s = fmt.step();
+  float q = std::nearbyint(v / s) * s;
+  const float lo = fmt.lo();
+  const float hi = fmt.hi();
+  if (q < lo) q = lo;
+  if (q > hi) q = hi;
+  return q;
+}
 
 IntegerLinear lower_linear(const Tensor& weights, const Tensor& bias,
                            const FixedPointFormat& weight_format,

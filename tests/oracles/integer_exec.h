@@ -1,4 +1,5 @@
-// True integer execution of quantised layers.
+// True integer execution of quantised layers, and the per-value
+// fixed-point quantiser the fake-quant kernels are checked against.
 //
 // Fake-quantisation (quant_activation.h) simulates fixed-point arithmetic
 // in float; a real edge NPU computes with integers. This module provides
@@ -10,6 +11,7 @@
 // fake-quantised form. These are deliberately naive loops: they are the
 // semantic oracle the production int8 backend (tensor/gemm_int8.h,
 // nn/*::forward_int8, compress/integer_model.h) must match bit for bit.
+// No production path runs them.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,10 @@
 #include "tensor/tensor.h"
 
 namespace con::compress {
+
+// Quantise a single value: round-to-nearest onto the grid, then saturate.
+// The per-value reference for tensor::fake_quant.
+float fixed_point_quantize(float v, const FixedPointFormat& fmt);
 
 // A fully-connected layer lowered to integer arithmetic. Weight codes are
 // w / step(wfmt); input codes are x / step(xfmt); the bias is pre-scaled to

@@ -7,6 +7,7 @@
 #include "data/synth_digits.h"
 #include "models/model_zoo.h"
 #include "nn/trainer.h"
+#include "oracles/deepfool_reference.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 

@@ -16,6 +16,7 @@
 #include "nn/linear.h"
 #include "nn/reshape.h"
 #include "nn/trainer.h"
+#include "oracles/deepfool_reference.h"
 #include "tensor/ops.h"
 
 namespace con::attacks {

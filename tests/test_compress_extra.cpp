@@ -3,11 +3,11 @@
 #include <cmath>
 #include <set>
 
-#include "compress/integer_exec.h"
 #include "compress/pruner.h"
 #include "data/synth_digits.h"
 #include "models/model_zoo.h"
 #include "nn/trainer.h"
+#include "oracles/integer_exec.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "test_helpers.h"

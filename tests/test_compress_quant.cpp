@@ -8,6 +8,7 @@
 #include "models/model_zoo.h"
 #include "nn/linear.h"
 #include "nn/trainer.h"
+#include "oracles/integer_exec.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "compress/fixed_point.h"
-#include "compress/integer_exec.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -39,6 +38,8 @@
 #include "nn/sequential.h"
 #include "nn/tape.h"
 #include "obs/metrics.h"
+#include "oracles/conv_lowering.h"
+#include "oracles/integer_exec.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/kernels/dispatch.h"

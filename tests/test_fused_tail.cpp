@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "compress/fixed_point.h"
-#include "compress/integer_exec.h"
 #include "compress/integer_model.h"
 #include "compress/quant_activation.h"
 #include "models/model_zoo.h"
@@ -33,6 +32,7 @@
 #include "nn/reshape.h"
 #include "nn/sequential.h"
 #include "nn/tape.h"
+#include "oracles/integer_exec.h"
 #include "tensor/kernels/dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"

@@ -9,6 +9,7 @@
 #include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "oracles/conv_lowering.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"

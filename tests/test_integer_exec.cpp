@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "compress/fixed_point.h"
-#include "compress/integer_exec.h"
 #include "compress/integer_model.h"
 #include "compress/quant_activation.h"
 #include "models/model_zoo.h"
@@ -33,6 +32,7 @@
 #include "nn/reshape.h"
 #include "nn/sequential.h"
 #include "obs/metrics.h"
+#include "oracles/integer_exec.h"
 #include "tensor/kernels/dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"

@@ -30,6 +30,8 @@
 #include "compress/fixed_point.h"
 #include "nn/linear.h"
 #include "obs/metrics.h"
+#include "oracles/conv_lowering.h"
+#include "oracles/integer_exec.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/kernels/dispatch.h"

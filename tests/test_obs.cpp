@@ -195,18 +195,6 @@ TEST(ObsMetrics, CountersAccumulateAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(ObsMetrics, DisablingMetricsTurnsUpdatesIntoNoops) {
-  con::obs::reset_metrics();
-  con::obs::Counter& c = con::obs::counter("obs_test.gated");
-  con::obs::Distribution& d = con::obs::dist("obs_test.gated_dist");
-  con::obs::set_metrics(false);
-  c.add(5);
-  d.record(1.0);
-  con::obs::set_metrics(true);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(d.count(), 0u);
-}
-
 TEST(ObsMetrics, DistributionTracksCountSumMinMax) {
   con::obs::reset_metrics();
   con::obs::Distribution& d = con::obs::dist("obs_test.dist");

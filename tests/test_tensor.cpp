@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "oracles/conv_lowering.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
